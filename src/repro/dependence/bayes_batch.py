@@ -160,14 +160,20 @@ class BatchedPosteriorEngine:
         shared_len = np.empty(n_pairs, dtype=np.int64)
         s1c = np.empty(n_pairs, dtype=np.int64)
         s2c = np.empty(n_pairs, dtype=np.int64)
+        start = np.empty(n_pairs, dtype=np.int64)
         for i, slot in enumerate(slots.values()):
             sid[i] = slot.sid
             kd[i] = slot.kd
             shared_len[i] = slot.length
             s1c[i] = code[slot.s1]
             s2c[i] = code[slot.s2]
+            start[i] = slot.start
         self._sid = sid
         self._kd = kd
+        # Segment geometry only moves inside sync(), which moves the
+        # structural key too, so it is as static as the sids.
+        self._start = start
+        self._length = shared_len
         self._s1c = s1c
         self._s2c = s2c
         # Per-pair mode lift of _slot_escaped: under overlap_policy=
@@ -222,21 +228,24 @@ class BatchedPosteriorEngine:
         self._ensure_static()
         self._cache._store.set_stamps(self._sid[positions], round_index)
 
-    def moved_pair_mask(self, moved):
-        """Per-position mask of pairs referencing a moved entry.
+    def moved_positions(self, moved, positions):
+        """Which of ``positions`` reference a moved agreement entry.
 
-        Same semantics as
+        ``moved`` is a table-slot-indexed drift mask, widened exactly as
         :meth:`~repro.dependence.evidence.EvidenceCache.pairs_with_moved_entries`
-        (``moved`` is a table-slot-indexed drift mask) but produced as a
-        position mask with no per-pair Python work.
+        widens it; the result is a boolean array aligned with
+        ``positions``. Only those positions' live segments are scanned,
+        so a caller that has already settled most pairs by a cheaper
+        test pays for the rest alone.
         """
         self._ensure_static()
         cache = self._cache
-        entry_mask = cache.moved_entry_mask(moved)
-        flagged = cache._store.flagged_sids(entry_mask)
-        by_sid = np.zeros(max(cache._store.n_sids, 1), dtype=bool)
-        by_sid[flagged] = True
-        return by_sid[self._sid]
+        positions = np.asarray(positions, dtype=np.int64)
+        return cache._store.flagged_segments(
+            self._start[positions],
+            self._length[positions],
+            cache.moved_entry_mask(moved),
+        )
 
     # -- per-call inputs -------------------------------------------------
 

@@ -206,11 +206,35 @@ class ColumnarAgreeStore:
         moved-entry mask a
         :class:`~repro.truth.columnar.ValueProbTable` update produced,
         gathered onto entry ids). One vectorised scan over the live
-        cells — this is what lets DEPEN's iterative rounds re-score
-        only the pairs whose evidence actually moved.
+        cells, flagged by a boolean scatter (no sort); the ids come
+        back ascending.
         """
         sids, eids = self.live()
-        return np.unique(sids[entry_mask[eids]])
+        hit = np.zeros(self._n_sids, dtype=bool)
+        hit[sids[entry_mask[eids]]] = True
+        return np.flatnonzero(hit)
+
+    def flagged_segments(self, starts, lengths, entry_mask):
+        """Per-segment flags: does ``eids[start:start+length]`` hit ``entry_mask``?
+
+        ``starts``/``lengths`` describe live segments (a slot's
+        ``start``/``length``), so only those segments' cells are read —
+        the restricted counterpart of :meth:`flagged_sids` for callers
+        that already know which slots are still in question.
+        """
+        lengths = np.asarray(lengths, dtype=np.int64)
+        hit = np.zeros(lengths.size, dtype=bool)
+        total = int(lengths.sum())
+        if total == 0:
+            return hit
+        owner = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        # Cell index = segment start + offset within the segment.
+        offsets = np.cumsum(lengths) - lengths
+        cells = np.arange(total, dtype=np.int64) + (
+            np.asarray(starts, dtype=np.int64) - offsets
+        )[owner]
+        hit[owner[entry_mask[self._eids[cells]]]] = True
+        return hit
 
     # -- round stamps -----------------------------------------------------
 

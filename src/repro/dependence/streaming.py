@@ -30,7 +30,7 @@ from collections.abc import Iterable, Mapping
 
 from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset, MutationBatch, MutationDelta
-from repro.core.params import DependenceParams
+from repro.core.params import DependenceParams, IterationParams
 from repro.core.types import SourceId
 from repro.dependence.bayes import (
     PairEvidence,
@@ -65,6 +65,9 @@ class StreamingDependenceEngine:
         The accuracy assumed for sources with no estimate yet. Running
         :meth:`run_truth` replaces the defaults with DEPEN's estimates
         for subsequent :meth:`discover` calls.
+    iteration:
+        Convergence controls of the default DEPEN run behind
+        :meth:`run_truth` and :meth:`snapshot`.
     """
 
     def __init__(
@@ -75,12 +78,14 @@ class StreamingDependenceEngine:
         min_overlap: int = 1,
         exact: bool = False,
         default_accuracy: float = 0.8,
+        iteration: IterationParams | None = None,
     ) -> None:
         if not 0.0 < default_accuracy < 1.0:
             raise DataError(
                 f"default_accuracy must be in (0, 1), got {default_accuracy}"
             )
         self.params = params or DependenceParams()
+        self.iteration = iteration or IterationParams()
         self.min_overlap = min_overlap
         self._dataset = ClaimDataset() if dataset is None else dataset
         self._cache = EvidenceCache(
@@ -352,7 +357,9 @@ class StreamingDependenceEngine:
         from repro.truth.depen import Depen
 
         if algorithm is None:
-            algorithm = Depen(self.params, min_overlap=self.min_overlap)
+            algorithm = Depen(
+                self.params, self.iteration, min_overlap=self.min_overlap
+            )
         if isinstance(algorithm, Depen):
             result = algorithm.discover(
                 self._dataset, evidence_cache=self._cache

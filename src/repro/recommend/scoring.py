@@ -106,7 +106,9 @@ def build_scorecards(
                 coverages.get(source, 0) / max_coverage if max_coverage else 0.0
             ),
             freshness=(freshness or {}).get(source, 1.0),
-            independence=1.0 - dependence.dependence_score(source),
+            # A pair's posteriors can sum to 1 + 1 ulp, which would put
+            # the complement a hair below zero.
+            independence=max(0.0, 1.0 - dependence.dependence_score(source)),
         )
     return cards
 

@@ -130,6 +130,7 @@ class Session:
             params=self.params,
             min_overlap=min_overlap,
             default_accuracy=default_accuracy,
+            iteration=self.iteration,
         )
         self.min_overlap = min_overlap
         self.store = SnapshotStore(retention=retention)
@@ -227,15 +228,11 @@ class Session:
         return self._engine.discover(**kwargs)
 
     def run_truth(self, algorithm=None):
-        """One copy-aware truth run over the current state."""
-        if algorithm is None:
-            # Imported lazily, mirroring the streaming engine (the truth
-            # package imports the dependence package underneath us).
-            from repro.truth.depen import Depen
+        """One copy-aware truth run over the current state.
 
-            algorithm = Depen(
-                self.params, self.iteration, min_overlap=self.min_overlap
-            )
+        The default is the same DEPEN run :meth:`publish` refreshes
+        with: the session's params, iteration and overlap prefilter.
+        """
         return self._engine.run_truth(algorithm)
 
     def publish(self) -> Snapshot:

@@ -52,6 +52,64 @@ from repro.truth.vote_counting import (
 )
 
 
+def select_affected(posterior, base_p, base_a, drift_p, drift_a, tol):
+    """Per-position mask of the pairs a restricted DEPEN round re-scores.
+
+    ``posterior`` is the round's
+    :class:`~repro.dependence.bayes_batch.BatchedPosteriorEngine`;
+    ``base_p``/``base_a`` map a round stamp to the cumulative entry and
+    accuracy drift snapshotted when that round scored its pairs. A pair
+    is affected when its stamp has no baseline (0 = never scored, or a
+    stamp from before this run), when an endpoint's accuracy drift since
+    its baseline exceeds ``tol``, or when one of its agreement entries'
+    drift does. One selection pass per round:
+
+    1. stamps map to baseline rows through a stamp-to-row lookup array;
+    2. the endpoint test runs for every position at once, against the
+       stacked accuracy baselines;
+    3. only the pairs the endpoint test left unaffected have their
+       agreement cells scanned, one baseline group at a time (a group
+       whose entries drifted nowhere is skipped outright);
+    4. baselines that no unaffected pair still carries are dropped from
+       ``base_p``/``base_a`` in place — once the affected pairs are
+       re-stamped this round, nothing refers to them.
+    """
+    import numpy as np
+
+    stamps = posterior.stamp_array()
+    known = sorted(base_p)
+    if not known or not stamps.size:
+        base_p.clear()
+        base_a.clear()
+        return np.ones(stamps.size, dtype=bool)
+    lookup = np.full(
+        max(known[-1], int(stamps.max())) + 1, -1, dtype=np.int64
+    )
+    lookup[known] = np.arange(len(known), dtype=np.int64)
+    rows = lookup[stamps]
+    s1c, s2c = posterior.endpoint_codes()
+    moved_src = drift_a - np.stack([base_a[stamp] for stamp in known]) > tol
+    safe = np.maximum(rows, 0)
+    affected = (rows < 0) | moved_src[safe, s1c] | moved_src[safe, s2c]
+    rest = np.flatnonzero(~affected)
+    if rest.size:
+        rest_rows = rows[rest]
+        groups = np.bincount(rest_rows, minlength=len(known))
+        for row in np.flatnonzero(groups).tolist():
+            moved = drift_p - base_p[known[row]] > tol
+            if not moved.any():
+                continue
+            group = rest[rest_rows == row]
+            affected[group[posterior.moved_positions(moved, group)]] = True
+    live = np.zeros(len(known), dtype=bool)
+    live[rows[~affected]] = True
+    for stamp, keep in zip(known, live.tolist()):
+        if not keep:
+            del base_p[stamp]
+            del base_a[stamp]
+    return affected
+
+
 class Depen(TruthDiscovery):
     """Copy-aware iterative truth discovery.
 
@@ -220,9 +278,9 @@ class Depen(TruthDiscovery):
 
         Rounds after the first restrict the dependence re-scoring: a
         pair's posterior is recomputed only when some input of it moved
-        — an agreement entry's truth probability or an endpoint's
-        clamped accuracy drifted beyond ``it.rescore_tolerance`` since
-        the round *that pair* was last scored. Drift accumulates
+        — an endpoint's clamped accuracy or an agreement entry's truth
+        probability drifted beyond ``it.rescore_tolerance`` since the
+        round *that pair* was last scored. Drift accumulates
         monotonically; each pair's baseline is the cumulative drift
         snapshot taken the round it was stamped (per-slot round stamps
         in the columnar entry store), so a pair's baseline resets
@@ -236,16 +294,21 @@ class Depen(TruthDiscovery):
 
         With the batched posterior backend
         (:mod:`repro.dependence.bayes_batch`, the default on a columnar
-        entry store) the whole dependence step is fused: the affected
-        set is a boolean mask over pair positions, the posteriors for
-        the selected positions come from one
+        entry store) the whole dependence step is fused. The affected
+        set is a boolean mask over pair positions built in one pass per
+        round (:func:`select_affected`): the cheap endpoint test runs
+        first, for every pair at once against the stacked accuracy
+        baselines, and agreement cells are scanned only for the pairs
+        it left unaffected — on a round where every source's accuracy
+        moved, no cell is read at all. The posteriors for the selected
+        positions come from one
         :meth:`~repro.dependence.bayes_batch.BatchedPosteriorEngine.posterior_arrays`
-        call, and they are written straight into the persistent
-        dependence matrix — a steady-state round does no per-pair
-        Python work at all. The scalar backend
-        (``posterior_backend="scalar"``) keeps the per-pair
-        :func:`~repro.dependence.bayes.pair_posterior` loop as the
-        bit-for-bit reference.
+        call and are written straight into the persistent dependence
+        matrix — a steady-state round does no per-pair Python work at
+        all. The scalar backend (``posterior_backend="scalar"``) keeps
+        the per-pair :func:`~repro.dependence.bayes.pair_posterior`
+        loop and the per-stamp-group selection as the bit-for-bit
+        reference.
         """
         import numpy as np
 
@@ -324,24 +387,9 @@ class Depen(TruthDiscovery):
                     base_p[rounds] = drift_p.copy()
                     base_a[rounds] = drift_a.copy()
                 else:
-                    stamps = posterior.stamp_array()
-                    affected_mask = np.zeros(stamps.size, dtype=bool)
-                    for stamp in np.unique(stamps).tolist():
-                        in_group = stamps == stamp
-                        if stamp not in base_p:
-                            # Never scored (stamp 0) or the baseline
-                            # predates this call: no basis for reuse.
-                            affected_mask |= in_group
-                            continue
-                        moved = posterior.moved_pair_mask(
-                            drift_p - base_p[stamp] > tol
-                        )
-                        moved_src = drift_a - base_a[stamp] > tol
-                        affected_mask |= in_group & (
-                            moved
-                            | moved_src[pair_s1c]
-                            | moved_src[pair_s2c]
-                        )
+                    affected_mask = select_affected(
+                        posterior, base_p, base_a, drift_p, drift_a, tol
+                    )
                     sel = np.flatnonzero(affected_mask)
                     rescored = int(sel.size)
                     reused = int(post_ind.size) - rescored
@@ -358,11 +406,6 @@ class Depen(TruthDiscovery):
                         posterior.stamp_positions(sel, rounds)
                         base_p[rounds] = drift_p.copy()
                         base_a[rounds] = drift_a.copy()
-                    live = set(np.unique(posterior.stamp_array()).tolist())
-                    for stamp in list(base_p):
-                        if stamp not in live:
-                            del base_p[stamp]
-                            del base_a[stamp]
             else:
                 acc_map = dict(zip(sources, clamped.tolist()))
                 if rounds == 1:

@@ -49,6 +49,25 @@ class TestScorecards:
         assert scorecards["A"].independence == pytest.approx(0.1)
         assert scorecards["C"].independence == 1.0
 
+    def test_posteriors_one_ulp_over_one_clamp_to_zero_independence(self):
+        graph = DependenceGraph()
+        pair = PairDependence(
+            s1="A", s2="B",
+            p_independent=0.0,
+            p_s1_copies_s2=0.5000000000000001,
+            p_s2_copies_s1=0.5000000000000001,
+        )
+        assert pair.p_s1_copies_s2 + pair.p_s2_copies_s1 == 1.0000000000000002
+        graph.add(pair)
+        scorecards = build_scorecards(
+            accuracies={"A": 0.9, "B": 0.8},
+            coverages={"A": 10, "B": 10},
+            dependence=graph,
+        )
+        assert scorecards["A"].independence == 0.0
+        assert scorecards["B"].independence == 0.0
+        assert recommend_sources(scorecards, graph, 2) == ["A", "B"]
+
     def test_scorecard_validation(self):
         with pytest.raises(ParameterError):
             SourceScorecard("A", accuracy=1.5, coverage=0, freshness=0, independence=0)

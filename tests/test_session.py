@@ -8,11 +8,12 @@ import pytest
 import repro
 from repro.core.claims import Claim
 from repro.core.dataset import MutationBatch
-from repro.core.params import DependenceParams
+from repro.core.params import DependenceParams, IterationParams
 from repro.exceptions import ParameterError, ServeError
 from repro.generators import simple_copier_world
 from repro.serve import ServingEngine
 from repro.truth.accu import Accu
+from repro.truth.depen import Depen
 
 
 @pytest.fixture()
@@ -87,6 +88,40 @@ def test_full_lifecycle(world):
         stats = session.stats()
         assert stats["store"]["published"] == 1
         assert stats["claims"] == len(dataset)
+
+
+def test_publish_and_refresh_honour_session_iteration(world):
+    dataset, _ = world
+    iteration = IterationParams(max_rounds=2)
+    with repro.Session(
+        claims=list(dataset), iteration=iteration, min_overlap=5
+    ) as session:
+
+        def cold():
+            return Depen(session.params, iteration, min_overlap=5).discover(
+                session.dataset
+            )
+
+        def published_matches(result):
+            assert session.stats()["truth"]["rounds"] == result.rounds
+            for obj in session.dataset.objects:
+                assert session.distribution(obj) == result.distributions[obj]
+
+        session.publish()
+        expected = cold()
+        published_matches(expected)
+        default = Depen(session.params, min_overlap=5).discover(
+            session.dataset
+        )
+        assert default.rounds > expected.rounds  # the cap really binds
+        session.apply(
+            MutationBatch(
+                adds=[Claim(source="s-new", object="obj0000", value="x")],
+                retractions=[("ind00", "obj0001")],
+            )
+        )
+        assert session.refresh() is not None
+        published_matches(cold())
 
 
 def test_query_before_publish_guides(world):
