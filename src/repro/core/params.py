@@ -132,8 +132,7 @@ class DependenceParams:
     pair's agreement segment in flat numpy arrays, so the per-round
     soft refresh and evidence assembly run as vectorised gathers and
     segment sums; ``"list"`` is the pure-Python reference layout (one
-    Python list per pair); ``"auto"`` (the default) picks columnar when
-    numpy is importable and falls back to lists otherwise.
+    Python list per pair); ``"auto"`` (the default) picks columnar.
 
     ``pool`` controls worker lifetime under ``parallel_backend=
     "process"``: ``"ephemeral"`` (the default) forks a fresh pool per
@@ -183,8 +182,7 @@ class DependenceParams:
     :class:`~repro.truth.columnar.ValueProbTable` (and lets the
     evidence engine's per-round refresh read truth probabilities
     positionally instead of probing dicts); ``"dict"`` is the
-    pure-Python reference loop; ``"auto"`` (the default) picks columnar
-    when numpy is importable.
+    pure-Python reference loop; ``"auto"`` (the default) picks columnar.
 
     ``posterior_backend`` selects how *pair posteriors* are computed
     when many pairs are scored at once (``discover_dependence``,
@@ -193,11 +191,10 @@ class DependenceParams:
     three-hypothesis Bayes posterior for every selected pair in one
     vectorised pass over the columnar evidence layout
     (:class:`~repro.dependence.bayes_batch.BatchedPosteriorEngine`;
-    requires numpy and ``entry_store="columnar"``); ``"scalar"`` is the
+    requires ``entry_store="columnar"``); ``"scalar"`` is the
     per-pair reference loop over
     :func:`~repro.dependence.bayes.pair_posterior`; ``"auto"`` (the
-    default) picks batch whenever the evidence cache is columnar and
-    numpy is importable.
+    default) picks batch whenever the evidence cache is columnar.
 
     ``max_retries`` / ``task_deadline`` / ``degrade_on_failure``
     configure the supervised execution layer

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core import fmath
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams
 from repro.core.types import ObjectId, SourceId, Value
@@ -233,9 +234,11 @@ def normalized_posteriors(log_posts: list[float]) -> list[float]:
     :func:`~repro.dependence.opinions.rater_pair_posterior`): subtract
     the peak before exponentiating so the largest hypothesis maps to
     ``exp(0)`` and nothing under- or overflows, then divide by the sum.
+    The ``exp`` is :func:`repro.core.fmath.exp`, the one the batched
+    posterior kernel's array pass shares bit for bit.
     """
     peak = max(log_posts)
-    weights = [math.exp(lp - peak) for lp in log_posts]
+    weights = [fmath.exp(lp - peak) for lp in log_posts]
     total = sum(weights)
     return [weight / total for weight in weights]
 
@@ -264,9 +267,9 @@ def _log_likelihood(
 ) -> float:
     """Log-likelihood of the evidence under per-object rates (Pt, Pf, Pd)."""
     return (
-        evidence.kt_soft * math.log(max(pt, _TINY))
-        + evidence.kf_soft * math.log(max(pf, _TINY))
-        + evidence.kd * math.log(max(pd, _TINY))
+        evidence.kt_soft * fmath.log(max(pt, _TINY))
+        + evidence.kf_soft * fmath.log(max(pf, _TINY))
+        + evidence.kd * fmath.log(max(pd, _TINY))
     )
 
 
@@ -299,7 +302,7 @@ def _log_likelihood_per_value(
     floor = 1.0 / params.n_false_values
     c = params.copy_rate
     marginal = evidence.calibrated or params.evidence_form == "marginal"
-    total = evidence.kd * math.log(max(pd, _TINY))
+    total = evidence.kd * fmath.log(max(pd, _TINY))
     for p_true, popularity in evidence.shared_values:
         q_v = floor if popularity < 0.0 else min(0.95, max(floor, popularity))
         pf_ind_v = (1.0 - a1) * (1.0 - a2) * q_v
@@ -308,10 +311,10 @@ def _log_likelihood_per_value(
         else:
             pf_v = (1.0 - a_original) * c + (1.0 - c) * pf_ind_v
         if marginal:
-            total += math.log(max(p_true * pt + (1.0 - p_true) * pf_v, _TINY))
+            total += fmath.log(max(p_true * pt + (1.0 - p_true) * pf_v, _TINY))
         else:
-            total += p_true * math.log(max(pt, _TINY))
-            total += (1.0 - p_true) * math.log(max(pf_v, _TINY))
+            total += p_true * fmath.log(max(pt, _TINY))
+            total += (1.0 - p_true) * fmath.log(max(pf_v, _TINY))
     return total
 
 
@@ -363,9 +366,9 @@ def pair_posterior(
         )
 
     log_posts = [
-        math.log(params.prior_independent) + log_independent,
-        math.log(params.prior_direction) + log_s1_copies,
-        math.log(params.prior_direction) + log_s2_copies,
+        fmath.log(params.prior_independent) + log_independent,
+        fmath.log(params.prior_direction) + log_s1_copies,
+        fmath.log(params.prior_direction) + log_s2_copies,
     ]
     posts = normalized_posteriors(log_posts)
     return PairDependence(

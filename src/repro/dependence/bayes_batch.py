@@ -18,9 +18,11 @@ Bit-for-bit parity with the scalar reference is a hard requirement (the
 whole repo's optimisation discipline), achieved by the conventions of
 :mod:`repro.truth.columnar`:
 
-* transcendentals run as scalar ``math.log``/``math.exp`` applied
-  element-wise (numpy's SIMD variants diverge from libm by 1 ulp on a
-  small fraction of inputs);
+* transcendentals come from :mod:`repro.core.fmath` on both sides: the
+  kernel calls its array ``log_array``/``exp_array`` (numpy's SIMD
+  ``np.log``/``np.exp``) and the scalar reference its ``log``/``exp``,
+  which run the same ufunc on one Python float and so give the same
+  bits as the matching array element;
 * per-segment accumulation uses ``np.bincount``, which adds weights
   sequentially in input order — each pair's per-value terms are fed in
   segment (object) order, prefixed by the pair's ``kd`` term exactly
@@ -31,6 +33,10 @@ whole repo's optimisation discipline), achieved by the conventions of
   association, and the ``_TINY`` floors and the 0.95 popularity clamp
   are applied at the same points.
 
+Parity holds between the two paths on one machine. The last ulps of a
+posterior may differ across CPUs (numpy picks its SIMD ``log``/``exp``
+loop by CPU feature), as they already could across libm versions.
+
 The engine is selected through ``DependenceParams.posterior_backend``
 (``auto`` | ``batch`` | ``scalar``, env ``REPRO_POSTERIOR_BACKEND``);
 ``scalar`` keeps every call site on the reference loop.
@@ -40,14 +46,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from repro.core import fmath
 from repro.core.params import POSTERIOR_BACKENDS, DependenceParams
 from repro.dependence.bayes import _TINY, PairDependence
 from repro.exceptions import DataError, ParameterError
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
 
 #: Environment variable consulted by ``DependenceParams`` for the
 #: default-valued ``posterior_backend`` field.
@@ -57,10 +61,10 @@ POSTERIOR_BACKEND_ENV = "REPRO_POSTERIOR_BACKEND"
 def resolve_posterior_backend(setting: str, cache) -> str:
     """Resolve ``auto|batch|scalar`` against a concrete evidence cache.
 
-    ``auto`` picks ``batch`` exactly when it can run: numpy importable
-    and the cache's entry store columnar. An explicit ``batch`` on a
-    cache that cannot support it is a :class:`ParameterError` — the
-    caller asked for something impossible and silence would mislead.
+    ``auto`` picks ``batch`` exactly when it can run: when the cache's
+    entry store is columnar. An explicit ``batch`` on a cache that
+    cannot support it is a :class:`ParameterError` — the caller asked
+    for something impossible and silence would mislead.
     """
     if setting not in POSTERIOR_BACKENDS:
         raise ParameterError(
@@ -69,31 +73,14 @@ def resolve_posterior_backend(setting: str, cache) -> str:
         )
     columnar = cache is not None and cache.entry_store == "columnar"
     if setting == "auto":
-        return "batch" if (np is not None and columnar) else "scalar"
-    if setting == "batch":
-        if np is None:
-            raise ParameterError(
-                "posterior_backend='batch' needs numpy for its array "
-                "kernels; install numpy or use posterior_backend='scalar'"
-            )
-        if not columnar:
-            raise ParameterError(
-                "posterior_backend='batch' reads the columnar evidence "
-                "layout; build the cache with entry_store='columnar' or "
-                "use posterior_backend='scalar'"
-            )
+        return "batch" if columnar else "scalar"
+    if setting == "batch" and not columnar:
+        raise ParameterError(
+            "posterior_backend='batch' reads the columnar evidence "
+            "layout; build the cache with entry_store='columnar' or "
+            "use posterior_backend='scalar'"
+        )
     return setting
-
-
-def _exact_unary(fn, arr):
-    """Apply a scalar transcendental element-wise (libm-exact).
-
-    Same convention as :mod:`repro.truth.columnar`: numpy's SIMD
-    ``exp``/``log`` differ from ``math.exp``/``math.log`` by 1 ulp on a
-    small fraction of inputs, which breaks bit-for-bit equality with the
-    scalar reference.
-    """
-    return np.fromiter(map(fn, arr.tolist()), dtype=np.float64, count=arr.size)
 
 
 class BatchedPosteriorEngine:
@@ -117,11 +104,6 @@ class BatchedPosteriorEngine:
     """
 
     def __init__(self, cache, params: DependenceParams) -> None:
-        if np is None:
-            raise ParameterError(
-                "posterior_backend='batch' needs numpy for its array "
-                "kernels; install numpy or use posterior_backend='scalar'"
-            )
         if cache.entry_store != "columnar":
             raise ParameterError(
                 "posterior_backend='batch' reads the columnar evidence "
@@ -357,12 +339,12 @@ class BatchedPosteriorEngine:
         pf_21 = (1.0 - a1) * c + pf_ind * one_minus_c
 
         log_pt = (
-            _exact_unary(math.log, np.maximum(pt_ind, _TINY)),
-            _exact_unary(math.log, np.maximum(pt_12, _TINY)),
-            _exact_unary(math.log, np.maximum(pt_21, _TINY)),
+            fmath.log_array(np.maximum(pt_ind, _TINY)),
+            fmath.log_array(np.maximum(pt_12, _TINY)),
+            fmath.log_array(np.maximum(pt_21, _TINY)),
         )
-        log_pd_ind = _exact_unary(math.log, np.maximum(pd_ind, _TINY))
-        log_pd_copy = _exact_unary(math.log, np.maximum(pd_copy, _TINY))
+        log_pd_ind = fmath.log_array(np.maximum(pd_ind, _TINY))
+        log_pd_copy = fmath.log_array(np.maximum(pd_copy, _TINY))
         log_pd = (log_pd_ind, log_pd_copy, log_pd_copy)
 
         if cache._fast:
@@ -378,9 +360,9 @@ class BatchedPosteriorEngine:
         if not all_value:
             # Aggregate-count path: kt·ln Pt + kf·ln Pf + kd·ln Pd.
             log_pf = (
-                _exact_unary(math.log, np.maximum(pf_ind, _TINY)),
-                _exact_unary(math.log, np.maximum(pf_12, _TINY)),
-                _exact_unary(math.log, np.maximum(pf_21, _TINY)),
+                fmath.log_array(np.maximum(pf_ind, _TINY)),
+                fmath.log_array(np.maximum(pf_12, _TINY)),
+                fmath.log_array(np.maximum(pf_21, _TINY)),
             )
             for h in range(3):
                 lls[h] = kt * log_pt[h] + kf * log_pf[h] + kd * log_pd[h]
@@ -403,15 +385,15 @@ class BatchedPosteriorEngine:
                 for h in range(3):
                     lls[h] = np.where(value_mask, value_lls[h], lls[h])
 
-        log_prior_ind = math.log(params.prior_independent)
-        log_prior_dir = math.log(params.prior_direction)
+        log_prior_ind = fmath.log(params.prior_independent)
+        log_prior_dir = fmath.log(params.prior_direction)
         lp0 = log_prior_ind + lls[0]
         lp1 = log_prior_dir + lls[1]
         lp2 = log_prior_dir + lls[2]
         peak = np.maximum(np.maximum(lp0, lp1), lp2)
-        w0 = _exact_unary(math.exp, lp0 - peak)
-        w1 = _exact_unary(math.exp, lp1 - peak)
-        w2 = _exact_unary(math.exp, lp2 - peak)
+        w0 = fmath.exp_array(lp0 - peak)
+        w1 = fmath.exp_array(lp1 - peak)
+        w2 = fmath.exp_array(lp2 - peak)
         total = w0 + w1 + w2
         return w0 / total, w1 / total, w2 / total
 
@@ -483,14 +465,13 @@ class BatchedPosteriorEngine:
         for h in range(3):
             kd_terms = kd * log_pd[h]
             if marginal:
-                terms = _exact_unary(
-                    math.log,
-                    np.maximum(p * pt[h][e_bin] + (1.0 - p) * pf_v[h], _TINY),
+                terms = fmath.log_array(
+                    np.maximum(p * pt[h][e_bin] + (1.0 - p) * pf_v[h], _TINY)
                 )
             else:
                 term_true = p * log_pt[h][e_bin]
-                term_false = one_minus_p * _exact_unary(
-                    math.log, np.maximum(pf_v[h], _TINY)
+                term_false = one_minus_p * fmath.log_array(
+                    np.maximum(pf_v[h], _TINY)
                 )
                 terms = np.empty(2 * e_bin.size, dtype=np.float64)
                 terms[0::2] = term_true

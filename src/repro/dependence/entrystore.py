@@ -34,7 +34,7 @@ used by the temporal and opinion collectors
 (:class:`~repro.dependence.collector.PairSlotCollector.packed`). Those
 modalities' records are heterogeneous tuples and their datasets refuse
 growth after the structural pass, so a one-shot flat-list-plus-offsets
-pack (no numpy needed) gives the same contiguous-segment read path the
+pack of Python lists gives the same contiguous-segment read path the
 snapshot engine gets from the mutable store.
 """
 
@@ -42,25 +42,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
-
-from repro.exceptions import ParameterError
+import numpy as np
 
 #: A compaction never triggers below this many dead cells — tiny stores
 #: would otherwise compact on every sync for no measurable gain.
 COMPACT_MIN_DEAD = 64
-
-
-def require_numpy() -> None:
-    """Raise the canonical error when the columnar store lacks numpy."""
-    if np is None:
-        raise ParameterError(
-            "entry_store='columnar' needs numpy for its packed arrays; "
-            "install numpy or use entry_store='list'"
-        )
 
 
 class ColumnarAgreeStore:
@@ -84,7 +70,6 @@ class ColumnarAgreeStore:
     __slots__ = ("_eids", "_sids", "_used", "_dead", "_n_sids", "_stamps")
 
     def __init__(self) -> None:
-        require_numpy()
         self._eids = np.empty(0, dtype=np.int64)
         self._sids = np.empty(0, dtype=np.int64)
         self._used = 0  # high-water mark; cells past it are untracked
@@ -388,8 +373,7 @@ class PackedRecords:
     One flat record list plus per-pair ``(start, end)`` bounds — the
     same contiguous-segment shape the snapshot engine's columnar store
     uses, for modalities whose records are heterogeneous tuples and
-    whose datasets are frozen after the structural pass. Needs no
-    numpy, so the pure-Python serial environment keeps working.
+    whose datasets are frozen after the structural pass.
     """
 
     __slots__ = ("_records", "_bounds")

@@ -39,9 +39,8 @@ Columnar entry store
 --------------------
 
 ``params.entry_store`` selects the physical layout of the agreement
-structure. Under ``"columnar"`` (the ``"auto"`` default whenever numpy
-is importable) every pair's agreement list is a *segment* of one flat
-``int64`` array managed by
+structure. Under ``"columnar"`` (the ``"auto"`` default) every pair's
+agreement list is a *segment* of one flat ``int64`` array managed by
 :class:`~repro.dependence.entrystore.ColumnarAgreeStore`, and the
 per-round path runs as array ops: :meth:`refresh` gathers the entries'
 probabilities and computes every pair's ``kt``/``kf`` with two
@@ -119,22 +118,15 @@ from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None  # the "list" entry store and serial backend need none of it
+import numpy as np
 
 from repro.core.dataset import ABSENT, ClaimDataset
 from repro.core.params import DependenceParams
 from repro.core.types import ObjectId, SourceId, Value
 from repro.dependence.bayes import PairEvidence, ValueProbabilities
 from repro.dependence.collector import PairKey, ProviderCap, pair_key
-from repro.dependence.entrystore import ColumnarAgreeStore, require_numpy
-from repro.exceptions import (
-    DataError,
-    OverlapCalibrationWarning,
-    ParameterError,
-)
+from repro.dependence.entrystore import ColumnarAgreeStore
+from repro.exceptions import DataError, OverlapCalibrationWarning
 
 _EMPTY_PROBS: dict[Value, float] = {}
 
@@ -264,11 +256,7 @@ class EvidenceCache:
             params.task_deadline,
             params.degrade_on_failure,
         )
-        if params.entry_store == "columnar":
-            require_numpy()  # fail at construction, not mid-build
-        self._columnar = params.entry_store == "columnar" or (
-            params.entry_store == "auto" and np is not None
-        )
+        self._columnar = params.entry_store in ("auto", "columnar")
         self._persistent_pool = params.pool == "persistent"
         # Executor ownership is explicit: a caller-supplied executor is
         # borrowed (close() leaves it alive); an internally created one
@@ -471,15 +459,6 @@ class EvidenceCache:
         boundaries, worker count and completion order, which is what
         makes the result bit-for-bit identical to :meth:`_build_serial`.
         """
-        try:
-            import numpy as np
-        except ImportError as exc:
-            raise ParameterError(
-                "parallel_backend "
-                f"{self._backend!r} needs numpy for its packed shard "
-                "payloads; install numpy or use parallel_backend='serial'"
-            ) from exc
-
         from repro.dependence.sharding import (
             RecordBlock,
             ShardPayload,
@@ -1470,7 +1449,6 @@ class EvidenceCache:
         the per-entry popularity a vectorised clamp of
         ``(m - 1) / (k_false - 1)``.
         """
-        require_numpy()
         if (
             getattr(table, "probs", None) is None
             or not hasattr(table, "slot")

@@ -22,10 +22,7 @@ from types import MappingProxyType
 
 import networkx as nx
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+import numpy as np
 
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams
@@ -142,13 +139,8 @@ class DependenceGraph:
         sorted code order so equal graphs export bitwise-equal arrays),
         ``p_dependent``, ``p_s1_copies`` and ``p_s2_copies`` (float64,
         aligned; the directional posteriors follow the *code* order, not
-        the stored pair's own endpoint order). Needs numpy.
+        the stored pair's own endpoint order).
         """
-        if np is None:  # pragma: no cover - numpy ships with the toolchain
-            raise DataError(
-                "DependenceGraph.export_arrays needs numpy; install numpy "
-                "or keep consuming PairDependence objects directly"
-            )
         code = {source: i for i, source in enumerate(sources)}
         rows = []
         for pair in self:

@@ -56,10 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None  # serial execution needs none of the packed-payload path
+import numpy as np
 
 from repro.exceptions import ParameterError
 
@@ -322,11 +319,6 @@ def sweep_shard(payload: ShardPayload) -> RecordBlock:
     returning, so the sort — the priciest merge stage — runs inside the
     workers, in parallel.
     """
-    if np is None:  # pragma: no cover - numpy ships with the toolchain
-        raise ParameterError(
-            "the sharded evidence sweep needs numpy for its packed "
-            "payloads; install numpy or use parallel_backend='serial'"
-        )
     lengths = payload.lengths
     if lengths.size == 0:
         return RecordBlock.empty()

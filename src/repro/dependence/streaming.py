@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
+import numpy as np
+
 from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset, MutationBatch, MutationDelta
 from repro.core.params import DependenceParams, IterationParams
@@ -42,11 +44,6 @@ from repro.dependence.bayes_batch import resolve_posterior_backend
 from repro.dependence.evidence import EvidenceCache
 from repro.dependence.graph import DependenceGraph, discover_dependence
 from repro.exceptions import DataError
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
 
 
 class StreamingDependenceEngine:

@@ -30,6 +30,10 @@ from repro.exec.tasks import resolve_task, task_is_stateful
 
 __all__ = ["PoolExecutor"]
 
+#: Bound on :meth:`PoolExecutor.terminate`'s wait for the pool's manager
+#: thread to reap the killed workers.
+_REAP_TIMEOUT_S = 2.0
+
 
 def _invoke(item: tuple[str | Callable, Any]) -> Any:
     """Pool-side trampoline: resolve the task name and apply it."""
@@ -98,11 +102,12 @@ class PoolExecutor(ShardExecutor):
             self._pool = None
 
     def terminate(self) -> None:
-        """Hard stop: kill the live pool's workers without waiting.
+        """Hard stop: kill the live pool's workers without waiting on them.
 
         ``shutdown()`` joins workers, so a hung worker would hang the
         teardown too; the deadline watchdog needs a stop that cannot
-        block. Killing the processes breaks the pool, which unblocks
+        block. The only wait is a bounded one for the pool's manager
+        thread to reap the killed workers. Killing the processes breaks the pool, which unblocks
         any ``run()`` currently waiting on it (it raises
         ``BrokenProcessPool`` — a retryable failure to the supervisor).
         """
@@ -116,7 +121,15 @@ class PoolExecutor(ShardExecutor):
                 process.kill()
             except Exception:
                 pass
+        # The pool's manager thread reaps the killed workers. Wait for
+        # it (bounded) so no one else waits on a worker's pid at the
+        # same time: the loser of that race finds the pid gone and its
+        # Process.is_alive() reports a dead worker alive. shutdown()
+        # forgets the thread, so take it first.
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
+        if manager is not None:
+            manager.join(_REAP_TIMEOUT_S)
 
     @property
     def closed(self) -> bool:

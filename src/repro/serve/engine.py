@@ -89,10 +89,6 @@ class ServingEngine:
         self._total_failures = 0
         self._last_error: str | None = None
         self._last_success_monotonic: float | None = None
-        # Scorecards are pure functions of one snapshot; memoised per
-        # served version (bounded by the store's retention in practice —
-        # one entry per version that ever answered a recommend).
-        self._cards_by_version: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     # read path
@@ -137,11 +133,9 @@ class ServingEngine:
         """Top-``k`` sources with marginal dependence penalties."""
         snapshot = self._resolve(version)
         self._stats["recommends"] += 1
-        cards = self._cards_by_version.get(snapshot.version)
-        if cards is None:
-            cards = snapshot_scorecards(snapshot)
-            if snapshot.version is not None:
-                self._cards_by_version[snapshot.version] = cards
+        # Scorecards are a pure function of one snapshot: memoised in
+        # the store, per version, shared with Session.recommend.
+        cards = self.store.scorecards(snapshot, snapshot_scorecards)
         return recommend_from_snapshot(
             snapshot,
             k,

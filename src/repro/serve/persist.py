@@ -20,10 +20,7 @@ import json
 import os
 from typing import Any
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+import numpy as np
 
 from repro.exceptions import ServeError
 from repro.serve.snapshot import ARRAY_FIELDS, Snapshot

@@ -30,14 +30,11 @@ import hashlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+import numpy as np
 
 from repro.core.dataset import ClaimDataset
 from repro.core.types import ObjectId, SourceId, Value
-from repro.exceptions import ParameterError, ServeError
+from repro.exceptions import ServeError
 from repro.truth.base import TruthResult
 from repro.truth.columnar import ValueProbTable
 
@@ -114,10 +111,6 @@ class Snapshot:
         round_id: int,
         version: int | None = None,
     ) -> None:
-        if np is None:  # pragma: no cover - numpy ships with the toolchain
-            raise ParameterError(
-                "the serving layer needs numpy for its frozen arrays"
-            )
         self.objects = tuple(objects)
         self.sources = tuple(sources)
         self.slot_values = tuple(slot_values)

@@ -12,7 +12,9 @@ immutable, so there is nothing half-updated to see).
 Retention is bounded: the store keeps the most recent ``retention``
 versions plus any version a reader has *pinned* (``pin`` hands out a
 context manager; a pinned version survives eviction until every pin is
-released). The read side follows the one-module
+released). Recommend's scorecards, a pure function of one snapshot,
+are memoised per version (:meth:`SnapshotStore.scorecards`) and leave
+with their version. The read side follows the one-module
 fetch/cache/stats/clear idiom — ``get``/``latest`` fetch, ``stats``
 reports, ``clear`` drops everything unpinned.
 """
@@ -20,6 +22,7 @@ reports, ``clear`` drops everything unpinned.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from types import MappingProxyType
 
@@ -45,6 +48,9 @@ class SnapshotStore:
         self._by_version: dict[int, Snapshot] = {}
         self._next_version = 1
         self._pins: dict[int, int] = {}
+        # version -> that snapshot's scorecards; its keys are always a
+        # subset of _by_version's (both change under the write lock).
+        self._scorecards: dict[int, dict] = {}
         self._stats = {
             "published": 0,
             "evicted": 0,
@@ -81,6 +87,7 @@ class SnapshotStore:
                 v for v in table if v <= floor and not self._pins.get(v)
             ]:
                 del table[old]
+                self._scorecards.pop(old, None)
                 self._stats["evicted"] += 1
             # Swap the map first: a reader observing the new latest must
             # be able to resolve its version through get().
@@ -116,6 +123,29 @@ class SnapshotStore:
             )
         self._stats["pinned_reads"] += 1
         return snapshot
+
+    def scorecards(
+        self, snapshot: Snapshot, build: Callable[[Snapshot], dict]
+    ) -> dict:
+        """Recommend's scorecards for ``snapshot``, built once per version.
+
+        ``build`` is :func:`~repro.recommend.scoring.snapshot_scorecards`
+        (passed in, so the store stays below the recommend layer). The
+        entry leaves the memo when its version leaves the store, so the
+        memo never holds more than the retained and pinned versions. A
+        snapshot that is unpublished, or no longer in the store, is
+        built but not kept. The lookup is lock-free; only storing a
+        fresh entry takes the write lock.
+        """
+        version = snapshot.version
+        cards = self._scorecards.get(version)
+        if cards is not None:
+            return cards
+        cards = build(snapshot)
+        with self._write_lock:
+            if self._by_version.get(version) is snapshot:
+                self._scorecards[version] = cards
+        return cards
 
     def versions(self) -> list[int]:
         """Currently resolvable versions, ascending."""
@@ -160,6 +190,7 @@ class SnapshotStore:
                     if floor is not None and pinned <= floor:
                         table = dict(self._by_version)
                         if table.pop(pinned, None) is not None:
+                            self._scorecards.pop(pinned, None)
                             self._stats["evicted"] += 1
                             self._by_version = table
 
@@ -173,6 +204,7 @@ class SnapshotStore:
             **self._stats,
             "resident": len(self._by_version),
             "pinned": len(self._pins),
+            "memoised": len(self._scorecards),
             "latest_version": (
                 None if self._latest is None else self._latest.version
             ),
@@ -196,5 +228,8 @@ class SnapshotStore:
             dropped = len(self._by_version) - len(table)
             self._stats["evicted"] += dropped
             self._by_version = table
+            self._scorecards = {
+                v: c for v, c in self._scorecards.items() if v in table
+            }
             self._latest = None
         return dropped

@@ -305,10 +305,23 @@ class Session:
         return self._snapshot(version).distribution(obj)
 
     def recommend(self, k: int, *, version: int | None = None, **kwargs) -> list:
-        """Dependence-penalised top-``k`` sources from a published round."""
-        from repro.recommend.scoring import recommend_from_snapshot
+        """Dependence-penalised top-``k`` sources from a published round.
 
-        return recommend_from_snapshot(self._snapshot(version), k, **kwargs)
+        The scorecards are built once per published version and shared
+        with the serving engine (:meth:`SnapshotStore.scorecards
+        <repro.serve.store.SnapshotStore.scorecards>`).
+        """
+        from repro.recommend.scoring import (
+            recommend_from_snapshot,
+            snapshot_scorecards,
+        )
+
+        snapshot = self._snapshot(version)
+        if "cards" not in kwargs:
+            kwargs["cards"] = self.store.scorecards(
+                snapshot, snapshot_scorecards
+            )
+        return recommend_from_snapshot(snapshot, k, **kwargs)
 
     def explain_dependence(
         self, source, other=None, *, version: int | None = None, **kwargs

@@ -36,7 +36,7 @@ class Accu(TruthDiscovery):
         Convergence controls; see :class:`~repro.core.params.IterationParams`.
     truth_backend:
         How the rounds are executed — ``"auto"`` (columnar array
-        kernels when numpy is importable, honouring the
+        kernels, honouring the
         ``REPRO_TRUTH_BACKEND`` environment override), ``"columnar"``
         or ``"dict"``. Pure execution policy: both backends produce
         bit-for-bit identical results

@@ -49,29 +49,32 @@ so results are **bit-for-bit identical** to it, not merely close:
   input arrays laid out in the dict path's own iteration order;
 * the DEPEN discount multiplies its factors in the reference order
   (earliest counted provider first), one lag per pass;
-* ``exp``/``log`` are evaluated with :func:`math.exp`/:func:`math.log`
-  element-wise (:func:`_exact_unary`) rather than ``np.exp``/``np.log``:
-  numpy's SIMD transcendental kernels diverge from the scalar libm by
-  1 ULP on a measurable fraction of inputs (~5% for ``exp``, ~0.1% for
-  ``log`` on numpy 2.4), which would silently break the bitwise
-  guarantee — and with it the deterministic tie-breaking the
-  reproduction's experiments rely on. The heavy loops (discount
-  products, gathers, segment sums) stay fully vectorised; the
-  transcendentals touch only the small per-slot/per-source arrays.
+* ``exp``/``log`` come from :mod:`repro.core.fmath` on both sides: the
+  kernels call its array ``log_array``/``exp_array`` (numpy's SIMD
+  ``np.log``/``np.exp``), and the dict path's
+  :func:`~repro.truth.vote_counting.accuracy_score` and
+  :func:`~repro.truth.vote_counting.softmax_distribution` call its
+  scalar ``log``/``exp``, which run the same ufunc on one Python float
+  and so give the same bits as the matching array element. The
+  deterministic tie-breaking the reproduction's experiments rely on
+  therefore sees identical counts on both paths.
+
+Parity holds between the two paths on one machine. numpy picks its
+SIMD ``log``/``exp`` loop by CPU feature (AVX-512 or not), and those
+loops differ from libm, and from each other, by at most 1 ulp on a small
+share of inputs; so the last ulps of a probability may differ across
+machines, as they already could across libm versions.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections.abc import Mapping
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+import numpy as np
 
+from repro.core import fmath
 from repro.core.dataset import ClaimDataset
 from repro.core.params import TRUTH_BACKENDS
 from repro.core.types import ObjectId, SourceId, Value
@@ -88,9 +91,8 @@ _table_uids = itertools.count()
 def resolve_truth_backend(setting: str, *, consult_env: bool = False) -> str:
     """Resolve a ``truth_backend`` setting to ``"columnar"`` or ``"dict"``.
 
-    ``"auto"`` picks columnar when numpy is importable and falls back to
-    the dict path otherwise; an explicit ``"columnar"`` without numpy is
-    an error (mirroring ``entry_store="columnar"``). With
+    ``"auto"`` picks columnar; ``"dict"`` keeps the pure-Python
+    reference path. With
     ``consult_env=True`` an ``"auto"`` setting first defers to the
     ``REPRO_TRUTH_BACKEND`` environment variable — the hook for callers
     that do not take :class:`~repro.core.params.DependenceParams`
@@ -107,24 +109,8 @@ def resolve_truth_backend(setting: str, *, consult_env: bool = False) -> str:
             f"{setting!r}"
         )
     if setting == "auto":
-        return "columnar" if np is not None else "dict"
-    if setting == "columnar" and np is None:
-        raise ParameterError(
-            "truth_backend='columnar' needs numpy for its array kernels; "
-            "install numpy or use truth_backend='dict'"
-        )
+        return "columnar"
     return setting
-
-
-def _exact_unary(fn, arr):
-    """Map a scalar libm function over a float64 array, element-wise.
-
-    Used for ``exp``/``log`` where numpy's SIMD kernels are not bitwise
-    equal to :mod:`math` (see the module docstring); the arrays involved
-    are the small per-slot/per-source ones, so the Python-level map is
-    not a hot path.
-    """
-    return np.fromiter(map(fn, arr.tolist()), dtype=np.float64, count=arr.size)
 
 
 class ValueProbTable:
@@ -173,11 +159,6 @@ class ValueProbTable:
         dataset: ClaimDataset,
         value_probs: Mapping[ObjectId, Mapping[Value, float]] | None = None,
     ) -> None:
-        if np is None:  # pragma: no cover - numpy ships with the toolchain
-            raise ParameterError(
-                "ValueProbTable needs numpy for its packed arrays; "
-                "install numpy or use the dict exchange format"
-            )
         self.dataset = dataset
         self.dataset_version = dataset.version
         self.uid = next(_table_uids)
@@ -396,18 +377,14 @@ class TruthRoundEngine:
 
         The per-round per-source ``accuracy_score`` calls of the dict
         path, hoisted into one vectorised ratio plus one batched log
-        pass. The log itself maps :func:`math.log` element-wise instead
-        of calling ``np.log`` — numpy's SIMD log diverges from libm by
-        1 ULP on ~0.1% of inputs, which would break the bitwise
-        equivalence with the dict path (see the module docstring).
+        pass (:func:`repro.core.fmath.log_array`, bit for bit the dict
+        path's scalar log; see the module docstring).
         """
         if n_false_values < 1:
             raise ParameterError(
                 f"n_false_values must be >= 1, got {n_false_values}"
             )
-        return _exact_unary(
-            math.log, n_false_values * clamped / (1.0 - clamped)
-        )
+        return fmath.log_array(n_false_values * clamped / (1.0 - clamped))
 
     # -- step 1: vote counts ---------------------------------------------
 
@@ -516,10 +493,10 @@ class TruthRoundEngine:
                 key=lambda slot: repr(values[slot]),
             )
 
-        # Distributions: exp evaluated with math.exp element-wise (the
-        # bitwise-parity requirement, see the module docstring); the
-        # normaliser is a sequential per-object segment sum.
-        weights = _exact_unary(math.exp, counts - slot_peak)
+        # Distributions: fmath's exp, bit for bit the dict path's (see
+        # the module docstring); the normaliser is a sequential
+        # per-object segment sum.
+        weights = fmath.exp_array(counts - slot_peak)
         totals = np.bincount(
             row_of_slot, weights=weights, minlength=self.n_objects
         )

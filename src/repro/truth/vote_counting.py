@@ -16,9 +16,9 @@ Terminology follows section 3.2's Bayesian sketch:
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 
+from repro.core import fmath
 from repro.core.dataset import ClaimDataset
 from repro.core.types import ObjectId, SourceId, Value
 from repro.dependence.graph import DependenceGraph
@@ -105,25 +105,31 @@ def accuracy_score(accuracy: float, n_false_values: int) -> float:
     """``A'(S) = ln(n·A / (1-A))`` — one vote's weight.
 
     ``accuracy`` must be strictly inside (0, 1); iterative callers clamp
-    their estimates before calling.
+    their estimates before calling. The ``log`` is
+    :func:`repro.core.fmath.log`, bit for bit the columnar truth
+    kernel's.
     """
     if not 0.0 < accuracy < 1.0:
         raise ParameterError(f"accuracy must be in (0, 1), got {accuracy}")
     if n_false_values < 1:
         raise ParameterError(f"n_false_values must be >= 1, got {n_false_values}")
-    return math.log(n_false_values * accuracy / (1.0 - accuracy))
+    return fmath.log(n_false_values * accuracy / (1.0 - accuracy))
 
 
 def softmax_distribution(vote_counts: dict[Value, float]) -> dict[Value, float]:
     """Turn vote counts into a probability distribution over the values.
 
     Numerically stable (scores are shifted by their max before
-    exponentiation). An empty input yields an empty distribution.
+    exponentiation). An empty input yields an empty distribution. The
+    ``exp`` is :func:`repro.core.fmath.exp`, bit for bit the columnar
+    truth kernel's.
     """
     if not vote_counts:
         return {}
     peak = max(vote_counts.values())
-    weights = {value: math.exp(count - peak) for value, count in vote_counts.items()}
+    weights = {
+        value: fmath.exp(count - peak) for value, count in vote_counts.items()
+    }
     total = sum(weights.values())
     return {value: weight / total for value, weight in weights.items()}
 

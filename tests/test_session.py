@@ -170,6 +170,68 @@ def test_pinned_version_query(world):
         assert session.query("obj0000", version=1) == old
 
 
+def _count_scorecard_builds(monkeypatch):
+    """Count scorecard builds on both the session and the engine path."""
+    from repro.recommend import scoring
+    from repro.serve import engine as engine_mod
+
+    builds = []
+    real = scoring.snapshot_scorecards
+
+    def counting(snapshot, *args, **kwargs):
+        builds.append(snapshot.version)
+        return real(snapshot, *args, **kwargs)
+
+    monkeypatch.setattr(scoring, "snapshot_scorecards", counting)
+    monkeypatch.setattr(engine_mod, "snapshot_scorecards", counting)
+    return builds
+
+
+def test_recommend_builds_scorecards_once_per_version(world, monkeypatch):
+    dataset, _ = world
+    builds = _count_scorecard_builds(monkeypatch)
+    with repro.Session(dataset=dataset, min_overlap=5) as session:
+        session.publish()
+        first = session.recommend(3)
+        assert session.recommend(3) == first
+        assert builds == [1]
+        # The serving engine reads the same per-version memo.
+        engine = session.serving()
+        assert asyncio.run(engine.recommend(3)) == first
+        assert builds == [1]
+        # A newer version builds its own; the pinned old one is reused.
+        session.publish()
+        session.recommend(3)
+        session.recommend(3, version=1)
+        assert builds == [1, 2]
+
+
+def test_scorecard_memo_leaves_with_evicted_versions(world, monkeypatch):
+    dataset, _ = world
+    builds = _count_scorecard_builds(monkeypatch)
+    with repro.Session(dataset=dataset, min_overlap=5, retention=2) as session:
+        engine = session.serving()
+        for _ in range(5):
+            session.publish()
+            session.recommend(3)
+            asyncio.run(engine.recommend(3))
+            store = session.store
+            assert set(store._scorecards) <= set(store.versions())
+            assert store.stats()["memoised"] <= store.retention
+        assert builds == [1, 2, 3, 4, 5]
+        assert sorted(session.store._scorecards) == [4, 5]
+        # A pin keeps a version (and its memo entry) past retention; the
+        # last release drops both.
+        with session.store.pin(5):
+            session.publish()
+            session.publish()
+            assert 5 in session.store._scorecards
+        assert session.store.versions() == [6, 7]
+        assert 5 not in session.store._scorecards
+        session.store.clear()
+        assert session.store.stats()["memoised"] == 0
+
+
 # ---------------------------------------------------------------------------
 # async serving front-end
 # ---------------------------------------------------------------------------
