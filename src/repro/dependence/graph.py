@@ -18,6 +18,7 @@ such as finding copier cliques.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import networkx as nx
@@ -190,6 +191,78 @@ class DependenceGraph:
         """
         components = nx.connected_components(self.to_networkx(threshold))
         return sorted((set(c) for c in components), key=lambda c: sorted(c)[0])
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PairPosteriorArrays:
+    """The pair posteriors of a batched DEPEN run, kept columnar.
+
+    ``keys`` lists the pair keys in position order; ``s1`` / ``s2`` are
+    each position's endpoint codes into the dataset's sorted source
+    list (the run's dataset version); the three float64 arrays are the
+    aligned posteriors, in each key's own endpoint order. All arrays
+    are read-only. :meth:`to_graph` and :meth:`export_arrays` are the
+    two ways out: the object graph, or the snapshot's columnar export
+    without building that graph first.
+    """
+
+    keys: list
+    s1: np.ndarray
+    s2: np.ndarray
+    p_independent: np.ndarray
+    p_s1_copies_s2: np.ndarray
+    p_s2_copies_s1: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (
+            self.s1,
+            self.s2,
+            self.p_independent,
+            self.p_s1_copies_s2,
+            self.p_s2_copies_s1,
+        ):
+            arr.flags.writeable = False
+
+    def to_graph(self) -> DependenceGraph:
+        """The :class:`DependenceGraph` of these posteriors.
+
+        ``tolist()`` yields the exact Python floats the scalar path's
+        :class:`~repro.dependence.bayes.PairDependence` objects hold.
+        """
+        return DependenceGraph(
+            PairDependence(s1, s2, pi, p12, p21)
+            for (s1, s2), pi, p12, p21 in zip(
+                self.keys,
+                self.p_independent.tolist(),
+                self.p_s1_copies_s2.tolist(),
+                self.p_s2_copies_s1.tolist(),
+            )
+        )
+
+    def export_arrays(self) -> dict:
+        """:meth:`DependenceGraph.export_arrays` of :meth:`to_graph`, bitwise.
+
+        Rows are oriented to ``pair_s1 < pair_s2`` and ordered by one
+        ``lexsort`` over the code pairs; ``p_dependent`` is the same
+        float sum :attr:`PairDependence.p_dependent` takes.
+        """
+        swap = self.s1 > self.s2
+        lo = np.where(swap, self.s2, self.s1)
+        hi = np.where(swap, self.s1, self.s2)
+        order = np.lexsort((hi, lo))
+        p12 = self.p_s1_copies_s2[order]
+        p21 = self.p_s2_copies_s1[order]
+        swap = swap[order]
+        arrays = {
+            "pair_s1": lo[order],
+            "pair_s2": hi[order],
+            "p_dependent": p12 + p21,
+            "p_s1_copies": np.where(swap, p21, p12),
+            "p_s2_copies": np.where(swap, p12, p21),
+        }
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        return arrays
 
 
 def discover_dependence(

@@ -92,6 +92,9 @@ class StreamingDependenceEngine:
             exact=exact,
         )
         self._graph = DependenceGraph()
+        # A truth result whose dependence graph replaces _graph on the
+        # next read of `graph` (built lazily from its columnar form).
+        self._graph_result = None
         self._graph_version: int | None = None
         self._accuracies: dict[SourceId, float] = {}
         self._default_accuracy = default_accuracy
@@ -143,7 +146,15 @@ class StreamingDependenceEngine:
 
     @property
     def graph(self) -> DependenceGraph:
-        """The most recently discovered dependence graph."""
+        """The most recently discovered dependence graph.
+
+        After a :meth:`run_truth` whose result carries a dependence
+        graph, that graph is built from the result on this first read,
+        not by the run: publishing never needs it.
+        """
+        if self._graph_result is not None:
+            self._graph = self._graph_result.dependence
+            self._graph_result = None
         return self._graph
 
     @property
@@ -274,7 +285,7 @@ class StreamingDependenceEngine:
             changed = {s for s, a in accs.items() if last_accs.get(s) != a}
             cache.refresh(value_probs)
             graph = DependenceGraph()
-            previous = self._graph
+            previous = self.graph
             backend = resolve_posterior_backend(
                 self.params.posterior_backend, cache
             )
@@ -324,6 +335,7 @@ class StreamingDependenceEngine:
                         rescored += 1
                     graph.add(pair)
             self._graph = graph
+        self._graph_result = None
         # Cleared only after scoring succeeded: a KeyError (bad caller
         # accuracies) mid-score must not lose the invalidation set, or
         # a retried discover would serve pre-ingest posteriors as fresh.
@@ -379,8 +391,8 @@ class StreamingDependenceEngine:
         self._last_result_version = self._dataset.version
         if result.accuracies:
             self._accuracies = dict(result.accuracies)
-        if result.dependence is not None:
-            self._graph = result.dependence
+        if result.has_dependence:
+            self._graph_result = result
             self._graph_version = self._dataset.version
             # DEPEN's final graph was scored under its own converged
             # value probabilities, not the engine's uniform ones — it is

@@ -3,14 +3,23 @@
 The serving layer's unit of consistency. Each completed truth round
 (DEPEN/ACCU directly, or :meth:`StreamingDependenceEngine.run_truth`
 behind a :class:`~repro.session.Session`) is frozen into one
-:class:`Snapshot`: the :class:`~repro.truth.columnar.ValueProbTable`'s
-CSR arrays (per-object slot segments, slot probabilities, provider
-counts), the winning slot per object, per-source accuracies and
-coverage, and the dependence graph's columnar export — every array
-read-only, every list a tuple. A reader holding a snapshot can answer
-``query`` / ``recommend`` / ``explain_dependence`` calls forever without
-locks, and two readers of the same snapshot always see bit-for-bit the
-same answers, no matter how many rounds the writer publishes meanwhile.
+:class:`Snapshot`: per-object slot segments, slot probabilities and
+provider counts (CSR arrays), the winning slot per object, per-source
+accuracies and coverage, and the dependence posteriors in columnar
+form — every array read-only, every list a tuple. A reader holding a
+snapshot can answer ``query`` / ``recommend`` / ``explain_dependence``
+calls forever without locks, and two readers of the same snapshot
+always see bit-for-bit the same answers, no matter how many rounds the
+writer publishes meanwhile.
+
+The columnar truth engines hand their round over as it stands
+(:class:`~repro.truth.base.ColumnarTruth`): the snapshot shares the
+round's :class:`~repro.truth.columnar.ValueProbTable` structure and
+slot index, copies its probabilities once, and exports a batched DEPEN
+run's pair posteriors straight from their arrays. No dict or graph form
+of the round is built on the way. Dict-only results (voting,
+TruthFinder, the ``dict`` truth backend) are put into that same
+columnar form first, so there is one freeze path.
 
 A snapshot is *stamped* with its serving ``version`` exactly once —
 normally by :meth:`~repro.serve.store.SnapshotStore.publish` — and
@@ -34,8 +43,8 @@ import numpy as np
 
 from repro.core.dataset import ClaimDataset
 from repro.core.types import ObjectId, SourceId, Value
-from repro.exceptions import ServeError
-from repro.truth.base import TruthResult
+from repro.exceptions import DataError, ServeError
+from repro.truth.base import ColumnarTruth, TruthResult
 from repro.truth.columnar import ValueProbTable
 
 #: The arrays every snapshot carries, in fingerprint/persistence order.
@@ -72,7 +81,9 @@ class Snapshot:
     constructor pre-frozen arrays (the persistence loader does). All
     array arguments must be read-only; the constructor re-checks rather
     than trusting callers, because a writable array would silently void
-    the whole layer's consistency guarantee.
+    the whole layer's consistency guarantee. ``slot_index`` (object ->
+    value -> slot) may be handed in by a producer that already holds it
+    and never mutates it; otherwise it is built from ``bounds``.
     """
 
     __slots__ = (
@@ -110,6 +121,7 @@ class Snapshot:
         dataset_version: int,
         round_id: int,
         version: int | None = None,
+        slot_index: Mapping[ObjectId, Mapping[Value, int]] | None = None,
     ) -> None:
         self.objects = tuple(objects)
         self.sources = tuple(sources)
@@ -138,17 +150,19 @@ class Snapshot:
         self.round_id = round_id
         self._version = version
         # Read-side indexes, built once at publication: object -> row,
-        # per-object value -> slot, source -> code, and the dependence
+        # per-object value -> slot (shared from the producer's table
+        # when it hands one in), source -> code, and the dependence
         # adjacency (code -> [(other code, pair index)]).
         self._row_of = {obj: row for row, obj in enumerate(self.objects)}
-        bounds = self.bounds.tolist()
-        slot_of: dict[ObjectId, dict[Value, int]] = {}
-        for row, obj in enumerate(self.objects):
-            lo, hi = bounds[row], bounds[row + 1]
-            slot_of[obj] = {
-                self.slot_values[slot]: slot for slot in range(lo, hi)
-            }
-        self._slot_of = slot_of
+        if slot_index is None:
+            bounds = self.bounds.tolist()
+            slot_index = {}
+            for row, obj in enumerate(self.objects):
+                lo, hi = bounds[row], bounds[row + 1]
+                slot_index[obj] = {
+                    self.slot_values[slot]: slot for slot in range(lo, hi)
+                }
+        self._slot_of = slot_index
         self._src_code = {source: i for i, source in enumerate(self.sources)}
         adjacent: dict[int, list[tuple[int, int]]] = {}
         for k, (i, j) in enumerate(
@@ -172,31 +186,58 @@ class Snapshot:
         round_id: int | None = None,
         version: int | None = None,
     ) -> "Snapshot":
-        """Freeze one truth-discovery result over its dataset.
+        """Freeze one truth-discovery result over the dataset it saw.
 
-        The value-probability CSR arrays are rebuilt through
-        :class:`~repro.truth.columnar.ValueProbTable` (so the slot
-        universe and segment order are exactly the columnar engines'),
-        accuracies and coverage are gathered per sorted source, and the
-        result's dependence graph — if any — is exported columnar.
-        Sources without an accuracy estimate (naive voting) freeze 0.0.
+        The result's :class:`~repro.truth.base.ColumnarTruth` is frozen
+        as it stands: the snapshot shares its table's structural arrays
+        and slot index, copies the slot probabilities once, and takes
+        the winner-slot and accuracy arrays (read-only) as they are. A
+        batched DEPEN run's pair posteriors are exported straight from
+        their arrays (:meth:`PairPosteriorArrays.export_arrays
+        <repro.dependence.graph.PairPosteriorArrays.export_arrays>`);
+        any other dependence graph through
+        :meth:`~repro.dependence.graph.DependenceGraph.export_arrays`.
+        A dict-only result (voting, TruthFinder, the ``dict`` truth
+        backend) is first put into columnar form by building a
+        :class:`~repro.truth.columnar.ValueProbTable` from its
+        distributions; sources without an accuracy estimate (naive
+        voting) freeze 0.0.
+
+        Raises :class:`~repro.exceptions.ServeError` when the result was
+        computed on another dataset version than ``dataset``'s current
+        one, or when its columnar form is bound to another dataset: the
+        snapshot would be stamped with a state the round never saw.
         """
-        table = ValueProbTable(dataset, result.distributions)
+        if (
+            result.dataset_version is not None
+            and result.dataset_version != dataset.version
+        ):
+            raise ServeError(
+                f"truth result was computed on dataset "
+                f"v{result.dataset_version}, but the dataset is at "
+                f"v{dataset.version} — re-run truth discovery first"
+            )
+        columnar = result.columnar
+        if columnar is None:
+            columnar = _columnar_form(dataset, result)
+        table = columnar.table
+        if (
+            table.dataset is not dataset
+            or table.dataset_version != dataset.version
+        ):
+            raise ServeError(
+                "truth result's columnar form is bound to another "
+                "dataset (or another version of it)"
+            )
         frozen = table.freeze()
-        winners = np.empty(len(frozen["objects"]), dtype=np.int64)
-        for row, obj in enumerate(frozen["objects"]):
-            winners[row] = table.slot(obj, result.decisions[obj])
         sources = tuple(dataset.sources)
-        accuracies = np.asarray(
-            [result.accuracies.get(s, 0.0) for s in sources],
-            dtype=np.float64,
-        )
         coverage = np.asarray(
             [dataset.coverage(s) for s in sources], dtype=np.int64
         )
-        for arr in (winners, accuracies, coverage):
-            arr.flags.writeable = False
-        if result.dependence is not None:
+        coverage.flags.writeable = False
+        if columnar.pairs is not None:
+            dep = columnar.pairs.export_arrays()
+        elif result.dependence is not None:
             dep = result.dependence.export_arrays(list(sources))
         else:
             dep = _empty_dependence()
@@ -204,8 +245,8 @@ class Snapshot:
             "bounds": frozen["bounds"],
             "counts": frozen["counts"],
             "probs": frozen["probs"],
-            "winners": winners,
-            "accuracies": accuracies,
+            "winners": columnar.winners,
+            "accuracies": columnar.accuracies,
             "coverage": coverage,
             **dep,
         }
@@ -217,6 +258,7 @@ class Snapshot:
             dataset_version=frozen["dataset_version"],
             round_id=result.rounds if round_id is None else round_id,
             version=version,
+            slot_index=frozen["slot_index"],
         )
 
     # ------------------------------------------------------------------
@@ -425,6 +467,34 @@ class Snapshot:
             )
         entries.sort(key=lambda e: (-e["p_dependent"], repr(e["other"])))
         return entries
+
+
+def _columnar_form(dataset: ClaimDataset, result: TruthResult) -> ColumnarTruth:
+    """The columnar form of a dict-only result, over ``dataset``.
+
+    Builds a :class:`~repro.truth.columnar.ValueProbTable` from the
+    result's distributions (so the slot universe and segment order are
+    exactly the columnar engines'), looks each decision's slot up, and
+    gathers the accuracies per sorted source (0.0 where the result has
+    no estimate).
+    """
+    table = ValueProbTable(dataset, result.distributions)
+    decisions = result.decisions
+    try:
+        winners = np.fromiter(
+            (table.slot(obj, decisions[obj]) for obj in table.objects),
+            dtype=np.int64,
+            count=len(table.objects),
+        )
+    except (KeyError, DataError) as exc:
+        raise ServeError(
+            f"truth result does not cover the dataset it is frozen over: {exc}"
+        ) from None
+    accuracies = np.asarray(
+        [result.accuracies.get(s, 0.0) for s in dataset.sources],
+        dtype=np.float64,
+    )
+    return ColumnarTruth(table, winners, accuracies)
 
 
 def _empty_dependence() -> dict:

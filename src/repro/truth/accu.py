@@ -14,7 +14,12 @@ import warnings
 from repro.core.dataset import ClaimDataset
 from repro.core.params import TRUTH_BACKENDS, IterationParams
 from repro.exceptions import ConvergenceError, ParameterError
-from repro.truth.base import RoundTrace, TruthDiscovery, TruthResult
+from repro.truth.base import (
+    ColumnarTruth,
+    RoundTrace,
+    TruthDiscovery,
+    TruthResult,
+)
 from repro.truth.columnar import TruthRoundEngine, resolve_truth_backend
 from repro.truth.vote_counting import (
     accuracy_score,
@@ -126,6 +131,7 @@ class Accu(TruthDiscovery):
             rounds=rounds,
             converged=converged,
             trace=trace,
+            dataset_version=dataset.version,
         )
 
     def _discover_columnar(self, dataset: ClaimDataset) -> TruthResult:
@@ -180,11 +186,13 @@ class Accu(TruthDiscovery):
             raise ConvergenceError(
                 f"{self.name}: no convergence in {it.max_rounds} rounds"
             )
+        # The table carries the final distributions into the result.
+        engine.table.set_probs(probs)
         return TruthResult(
-            decisions=engine.decisions_dict(winners),
-            distributions=engine.distributions_dict(probs),
             accuracies=engine.accuracies_dict(accuracies),
             rounds=rounds,
             converged=converged,
             trace=trace,
+            dataset_version=dataset.version,
+            columnar=ColumnarTruth(engine.table, winners, accuracies),
         )

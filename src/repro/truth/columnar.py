@@ -250,7 +250,9 @@ class ValueProbTable:
         ``probs`` *is* replaced each round (:meth:`set_probs` swaps the
         whole array rather than mutating, which is what makes the freeze
         safe), but the incoming array may alias a producer's buffer, so
-        the frozen copy is materialised once per publish.
+        the frozen copy is materialised once per publish. The slot index
+        (object -> value -> slot) is built once at construction and
+        never written again, so it is shared as it is.
         """
         probs = self.probs.copy()
         probs.flags.writeable = False
@@ -263,6 +265,7 @@ class ValueProbTable:
             "counts": self.counts,
             "row_of_slot": self.row_of_slot,
             "probs": probs,
+            "slot_index": self._slot_of,
             "dataset_version": self.dataset_version,
         }
 
@@ -515,27 +518,6 @@ class TruthRoundEngine:
         return mass / self._acc_counts
 
     # -- materialisation --------------------------------------------------
-
-    def decisions_dict(self, winners) -> dict[ObjectId, Value]:
-        """``{object: value}`` from a winner-slot array."""
-        values = self.table.slot_values
-        return {
-            obj: values[slot]
-            for obj, slot in zip(self.table.objects, winners.tolist())
-        }
-
-    def distributions_dict(
-        self, probs
-    ) -> dict[ObjectId, dict[Value, float]]:
-        """``{object: {value: p}}`` from a slot-aligned probability array."""
-        values = self.table.slot_values
-        flat = probs.tolist()
-        bounds = self.table.bounds.tolist()
-        return {
-            obj: dict(zip(values[bounds[row] : bounds[row + 1]],
-                          flat[bounds[row] : bounds[row + 1]]))
-            for row, obj in enumerate(self.table.objects)
-        }
 
     def accuracies_dict(self, accuracies) -> dict[SourceId, float]:
         """``{source: accuracy}`` from an accuracy array."""

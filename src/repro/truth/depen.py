@@ -28,15 +28,23 @@ from __future__ import annotations
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams, IterationParams
 from repro.dependence.bayes import (
-    PairDependence,
     pair_posterior,
     uniform_value_probabilities,
 )
 from repro.dependence.bayes_batch import resolve_posterior_backend
 from repro.dependence.evidence import EvidenceCache
-from repro.dependence.graph import DependenceGraph, discover_dependence
+from repro.dependence.graph import (
+    DependenceGraph,
+    PairPosteriorArrays,
+    discover_dependence,
+)
 from repro.exceptions import ConvergenceError
-from repro.truth.base import RoundTrace, TruthDiscovery, TruthResult
+from repro.truth.base import (
+    ColumnarTruth,
+    RoundTrace,
+    TruthDiscovery,
+    TruthResult,
+)
 from repro.truth.columnar import (
     TruthRoundEngine,
     ValueProbTable,
@@ -258,6 +266,7 @@ class Depen(TruthDiscovery):
             rounds=rounds,
             converged=converged,
             trace=trace,
+            dataset_version=dataset.version,
         )
 
     def _iterate_columnar(
@@ -342,8 +351,9 @@ class Depen(TruthDiscovery):
         rounds = 0
         # Batched-posterior state: the engine, the current per-position
         # posterior arrays and the persistent dependence matrix (only
-        # re-scored positions are rewritten each round; the graph object
-        # is materialised once, after the loop).
+        # re-scored positions are rewritten each round; the arrays go to
+        # the result as they are, and the graph object is built only if
+        # a caller reads it).
         posterior = None
         post_ind = post_12 = post_21 = None
         pair_s1c = pair_s2c = None
@@ -555,34 +565,27 @@ class Depen(TruthDiscovery):
                 converged = True
                 break
 
+        pairs = None
         if batched and posterior is not None:
-            # One-time graph materialisation from the posterior arrays;
-            # tolist() yields the exact Python floats the scalar path's
-            # PairDependence objects hold.
-            graph = DependenceGraph()
-            pi_list = post_ind.tolist()
-            p12_list = post_12.tolist()
-            p21_list = post_21.tolist()
-            for i, (s1, s2) in enumerate(posterior.pair_keys()):
-                graph.add(
-                    PairDependence(
-                        s1=s1,
-                        s2=s2,
-                        p_independent=pi_list[i],
-                        p_s1_copies_s2=p12_list[i],
-                        p_s2_copies_s1=p21_list[i],
-                    )
-                )
+            pairs = PairPosteriorArrays(
+                posterior.pair_keys(),
+                pair_s1c,
+                pair_s2c,
+                post_ind,
+                post_12,
+                post_21,
+            )
+            graph = None
         if not converged and it.fail_on_max_rounds:
             raise ConvergenceError(
                 f"{self.name}: no convergence in {it.max_rounds} rounds"
             )
         return TruthResult(
-            decisions=engine.decisions_dict(winners),
-            distributions=engine.distributions_dict(table.probs),
             accuracies=engine.accuracies_dict(accuracies),
             dependence=graph,
             rounds=rounds,
             converged=converged,
             trace=trace,
+            dataset_version=dataset.version,
+            columnar=ColumnarTruth(table, winners, accuracies, pairs),
         )

@@ -109,6 +109,7 @@ class TruthFinder(TruthDiscovery):
             rounds=rounds,
             converged=converged,
             trace=trace,
+            dataset_version=dataset.version,
         )
 
 

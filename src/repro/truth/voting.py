@@ -41,7 +41,11 @@ class NaiveVote(TruthDiscovery):
             distributions[obj] = {
                 value: count / total for value, count in counts.items()
             }
-        return TruthResult(decisions=decisions, distributions=distributions)
+        return TruthResult(
+            decisions=decisions,
+            distributions=distributions,
+            dataset_version=dataset.version,
+        )
 
     def is_unsure(self, dataset: ClaimDataset, obj: ObjectId) -> bool:
         """Whether the vote for ``obj`` is tied at the top.
