@@ -26,7 +26,9 @@ uploads as a workflow artifact — the persistent perf trajectory.
 from __future__ import annotations
 
 import os
+import random
 import time
+from itertools import accumulate
 
 from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset, MutationBatch
@@ -38,6 +40,7 @@ from repro.dependence.streaming import StreamingDependenceEngine
 from repro.eval import render_table
 from repro.generators import simple_copier_world
 from repro.truth import Depen
+from repro.truth.columnar import TruthLayout
 
 # Shared CI runners have noisy neighbours and shifting CPU frequency;
 # wall-clock ratios measured there gate with looser thresholds so the
@@ -675,6 +678,98 @@ def test_mutation_sync_vs_rebuild(benchmark, bench_record):
         },
     )
     assert speedup >= (3.0 if _ON_CI else 3.5)
+
+
+def _zipf_world(n_sources: int, n_objects: int, per_source: int, seed: int):
+    """Claims of a Zipf(0.7) world: object popularity falls with rank."""
+    rng = random.Random(seed)
+    objects = [f"o{i:05d}" for i in range(n_objects)]
+    weights = list(accumulate(1.0 / (rank + 1) ** 0.7 for rank in range(n_objects)))
+    claims = []
+    for i in range(n_sources):
+        accuracy = rng.uniform(0.5, 0.95)
+        for obj in set(rng.choices(objects, cum_weights=weights, k=per_source)):
+            value = "t" if rng.random() < accuracy else f"f{rng.randrange(5)}"
+            claims.append(Claim(f"s{i:04d}", obj, value))
+    return claims, objects, rng
+
+
+def test_truth_layout_sync_vs_rebuild(benchmark, bench_record):
+    """DEPEN's truth layout: a sync through the mutation log vs a cold build.
+
+    A 1,000-source Zipf(0.7) world over 20,000 objects (~25k claims).
+    After a mixed batch mutating ~0.5% of the claims (retractions,
+    corrections and adds, new objects included),
+    :meth:`~repro.truth.columnar.TruthLayout.sync` from the previous
+    layout rebuilds only the dirty objects' and sources' segments; the
+    cold build walks every claim. The two layouts must be bit-for-bit
+    identical; the acceptance floor is 4x (3x on CI).
+    """
+    claims, objects, rng = _zipf_world(1_000, 20_000, 25, seed=21)
+    n_mutations = round(0.005 * len(claims))
+    dataset = ClaimDataset(claims)
+
+    def batch():
+        live = sorted((c.source, c.object) for c in dataset)
+        picked = rng.sample(live, n_mutations)
+        third = n_mutations // 3
+        retractions = tuple(picked[:third])
+        corrections = tuple(
+            Claim(s, o, f"f{rng.randrange(5)}'") for s, o in picked[third : 2 * third]
+        )
+        taken = set(live)
+        adds = []
+        while len(adds) < n_mutations - 2 * third:
+            key = (f"s{rng.randrange(1_000):04d}", rng.choice(objects))
+            if key not in taken:
+                taken.add(key)
+                adds.append(Claim(key[0], key[1], "t"))
+        return MutationBatch(
+            adds=tuple(adds), retractions=retractions, corrections=corrections
+        )
+
+    layout = TruthLayout.sync(dataset)
+    benchmark.pedantic(lambda: TruthLayout.sync(dataset), rounds=1, iterations=1)
+    sync_times, cold_times = [], []
+    for _ in range(3):  # best-of-3: noisy-neighbour insurance
+        dataset.apply(batch())
+        started = time.perf_counter()
+        synced = TruthLayout.sync(dataset, layout)
+        sync_times.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        cold = TruthLayout.sync(dataset)
+        cold_times.append(time.perf_counter() - started)
+        for name in ("bounds", "counts", "claim_src", "acc_slot", "acc_src"):
+            assert getattr(synced, name).tobytes() == getattr(cold, name).tobytes()
+        assert synced.slot_values == cold.slot_values
+        assert synced.value_offsets == cold.value_offsets
+        layout = synced
+    sync_seconds, rebuild_seconds = min(sync_times), min(cold_times)
+    speedup = rebuild_seconds / sync_seconds
+    print()
+    print("S1: truth layout after a 0.5% mutation batch, sync vs cold build")
+    print(
+        render_table(
+            ["path", "mutations", "seconds"],
+            [
+                ["sync", n_mutations, sync_seconds],
+                ["cold build", n_mutations, rebuild_seconds],
+                ["speedup", "", speedup],
+            ],
+        )
+    )
+    bench_record(
+        "truth_layout_sync_vs_rebuild",
+        {
+            "workload": "1,000 sources x 20,000 Zipf(0.7) objects, 0.5% batch",
+            "claims": len(dataset),
+            "mutations": n_mutations,
+            "sync_seconds": sync_seconds,
+            "rebuild_seconds": rebuild_seconds,
+            "speedup": speedup,
+        },
+    )
+    assert speedup >= (3.0 if _ON_CI else 4.0)
 
 
 def test_sweep_serial_vs_sharded(benchmark, bench_record):

@@ -55,6 +55,17 @@ GATES: dict[str, list[tuple[str, Callable[[dict], float], str, float]]] = {
         # rebuild by 3x (the bench also asserts bit-for-bit equality).
         ("mutation_sync.speedup", lambda s: s["speedup"], "min", 3.0),
     ],
+    "truth_layout_sync_vs_rebuild": [
+        # DEPEN's truth layout synced through the mutation log after a
+        # 0.5% batch vs built cold from every claim (the bench also
+        # asserts the two are bit-for-bit equal).
+        (
+            "truth_layout_sync_vs_rebuild.speedup",
+            lambda s: s["speedup"],
+            "min",
+            2.5,
+        ),
+    ],
     "serial_vs_sharded": [
         (
             "serial_vs_sharded.speedups.numpy",

@@ -300,12 +300,13 @@ class ClaimDataset:
         back: dataset state, mutation log and version afterwards are
         exactly as if ``apply`` had never been called, so a poison batch
         can be quarantined and every other producer's data keeps
-        flowing. Rollback restores first-touch snapshots of the affected
-        index rows wholesale (not inverse replay), which preserves the
-        inner dicts' insertion order bit-for-bit — downstream float
-        accumulation over provider rows is order-sensitive, so this is
-        what keeps a rolled-back dataset's evidence identical to a
-        never-applied one.
+        flowing. The batch mutates copies of the index rows it touches
+        (copy-on-write, on first touch) and rollback puts the untouched
+        originals back (not inverse replay), which preserves the inner
+        dicts' insertion order and the provider sets' iteration order
+        bit-for-bit — downstream float accumulation over provider rows
+        is order-sensitive, so this is what keeps a rolled-back
+        dataset's evidence and truth identical to a never-applied one.
         """
         if not isinstance(batch, MutationBatch):
             batch = MutationBatch.from_claims(batch)
@@ -335,24 +336,31 @@ class ClaimDataset:
         saved_values: dict[ObjectId, dict | None] = {}
 
         def snapshot(source: SourceId, obj: ObjectId) -> None:
-            # First touch only: the snapshot must be the pre-batch
-            # state, not some mid-batch intermediate.
+            # First touch only, copy-on-write: the original row (and, for
+            # provider rows, its sets) is kept untouched for rollback and
+            # the batch mutates a fresh copy. A set copied after it grew
+            # and shrank iterates in another order than the original, so
+            # restoring copies would not restore iteration order.
             key = (source, obj)
             if key not in saved_keys:
                 saved_keys[key] = self._by_key.get(key)
             if source not in saved_sources:
                 row = self._by_source.get(source)
-                saved_sources[source] = None if row is None else dict(row)
+                saved_sources[source] = row
+                if row is not None:
+                    self._by_source[source] = dict(row)
             if obj not in saved_objects:
                 row = self._by_object.get(obj)
-                saved_objects[obj] = None if row is None else dict(row)
+                saved_objects[obj] = row
+                if row is not None:
+                    self._by_object[obj] = dict(row)
             if obj not in saved_values:
                 row = self._by_object_value.get(obj)
-                saved_values[obj] = (
-                    None
-                    if row is None
-                    else {value: set(ps) for value, ps in row.items()}
-                )
+                saved_values[obj] = row
+                if row is not None:
+                    self._by_object_value[obj] = {
+                        value: set(ps) for value, ps in row.items()
+                    }
 
         duplicates = 0
         added = retracted = corrected = 0

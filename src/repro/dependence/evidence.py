@@ -1451,7 +1451,7 @@ class EvidenceCache:
         """
         if (
             getattr(table, "probs", None) is None
-            or not hasattr(table, "slot")
+            or not hasattr(table, "layout")
         ):
             raise DataError(
                 "value_probs must be a nested {object: {value: p}} dict "
@@ -1499,20 +1499,24 @@ class EvidenceCache:
     def _table_gather(self, table):
         """The entry-id -> table-slot index, rebuilt only when stale.
 
-        Keyed on the table identity/version and the cache's entry epoch:
-        while neither side's structure changed, the per-round refresh
-        pays a single array gather and zero Python-level lookups.
+        Keyed on the table's :class:`~repro.truth.columnar.TruthLayout`
+        (its structure) and the cache's entry epoch: while neither
+        side's structure changed, the per-round refresh pays a single
+        array gather and zero Python-level lookups.
         """
-        key = (table.uid, table.dataset_version, self._entry_epoch)
+        key = (table.layout.uid, self._entry_epoch)
         if self._gather_key != key:
-            slot = table.slot
-            self._gather = np.asarray(
-                [
-                    0 if obj is None else slot(obj, value)
-                    for obj, value in zip(self._entry_obj, self._entry_value)
-                ],
-                dtype=np.int64,
-            )
+            try:
+                # Retired entries (None object) gather slot 0.
+                self._gather = table.layout.slots(
+                    self._entry_obj, self._entry_value
+                )
+            except KeyError:
+                raise DataError(
+                    "an agreement entry is not an observed claim of the "
+                    "table's dataset snapshot — rebuild the table after "
+                    "ingest"
+                ) from None
             # Object rows back the popularity-aware moved-pair test:
             # k_false sums over ALL of an object's slots, so under the
             # empirical model an entry's evidence moves whenever any
@@ -1581,7 +1585,7 @@ class EvidenceCache:
             self._gather is None
             or not self._refreshed
             or self._gather_key is None
-            or self._gather_key[2] != self._entry_epoch
+            or self._gather_key[1] != self._entry_epoch
         ):
             raise DataError(
                 "no table-based refresh against the current structure — "

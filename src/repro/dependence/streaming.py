@@ -118,6 +118,9 @@ class StreamingDependenceEngine:
         self._last_result = None
         self._last_result_version: int | None = None
         self._published_rounds = 0
+        # The last columnar run's truth layout: the next DEPEN run syncs
+        # it through the mutation log instead of building from scratch.
+        self._layout = None
 
     # ------------------------------------------------------------------
     # state
@@ -356,7 +359,9 @@ class StreamingDependenceEngine:
 
         With the default DEPEN the engine's evidence cache is reused, so
         the iterative loop pays only soft refreshes — the whole point of
-        maintaining the cache across ingest. Any other
+        maintaining the cache across ingest — and the last columnar
+        run's :class:`~repro.truth.columnar.TruthLayout` is synced
+        rather than rebuilt. Any other
         :class:`~repro.truth.base.TruthDiscovery` runs as-is. The
         result's accuracies and dependence graph become the engine's
         live state.
@@ -371,10 +376,12 @@ class StreamingDependenceEngine:
             )
         if isinstance(algorithm, Depen):
             result = algorithm.discover(
-                self._dataset, evidence_cache=self._cache
+                self._dataset, evidence_cache=self._cache, layout=self._layout
             )
         else:
             result = algorithm.discover(self._dataset)
+        if result.columnar is not None:
+            self._layout = result.columnar.table.layout
         counted = [
             trace
             for trace in result.trace

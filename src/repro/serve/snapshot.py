@@ -81,9 +81,12 @@ class Snapshot:
     constructor pre-frozen arrays (the persistence loader does). All
     array arguments must be read-only; the constructor re-checks rather
     than trusting callers, because a writable array would silently void
-    the whole layer's consistency guarantee. ``slot_index`` (object ->
-    value -> slot) may be handed in by a producer that already holds it
-    and never mutates it; otherwise it is built from ``bounds``.
+    the whole layer's consistency guarantee. The row-relative slot
+    index — ``row_index`` (object -> row) and ``value_index`` (object ->
+    value -> offset within the row's slot segment) — may be handed in by
+    a producer that already holds it and never mutates it (a
+    :class:`~repro.truth.columnar.TruthLayout`'s); otherwise it is built
+    from ``bounds``.
     """
 
     __slots__ = (
@@ -105,9 +108,11 @@ class Snapshot:
         "round_id",
         "_version",
         "_row_of",
-        "_slot_of",
+        "_value_of",
         "_src_code",
-        "_adjacent",
+        "_adj_ptr",
+        "_adj_other",
+        "_adj_pair",
         "_fingerprint",
     )
 
@@ -121,7 +126,8 @@ class Snapshot:
         dataset_version: int,
         round_id: int,
         version: int | None = None,
-        slot_index: Mapping[ObjectId, Mapping[Value, int]] | None = None,
+        row_index: Mapping[ObjectId, int] | None = None,
+        value_index: Mapping[ObjectId, Mapping[Value, int]] | None = None,
     ) -> None:
         self.objects = tuple(objects)
         self.sources = tuple(sources)
@@ -149,28 +155,36 @@ class Snapshot:
         self.dataset_version = dataset_version
         self.round_id = round_id
         self._version = version
-        # Read-side indexes, built once at publication: object -> row,
-        # per-object value -> slot (shared from the producer's table
-        # when it hands one in), source -> code, and the dependence
-        # adjacency (code -> [(other code, pair index)]).
-        self._row_of = {obj: row for row, obj in enumerate(self.objects)}
-        if slot_index is None:
+        # Read-side indexes: object -> row and object -> value -> offset
+        # in the row's slot segment (shared from the producer's layout
+        # when it hands them in), source -> code, and the dependence
+        # adjacency in CSR form: source code c's entries are
+        # _adj_ptr[c] : _adj_ptr[c + 1] of _adj_other (the partner's
+        # code) and _adj_pair (the pair index), in pair-index order.
+        if row_index is None or value_index is None:
             bounds = self.bounds.tolist()
-            slot_index = {}
-            for row, obj in enumerate(self.objects):
-                lo, hi = bounds[row], bounds[row + 1]
-                slot_index[obj] = {
-                    self.slot_values[slot]: slot for slot in range(lo, hi)
+            row_index = {obj: row for row, obj in enumerate(self.objects)}
+            value_index = {
+                obj: {
+                    self.slot_values[slot]: slot - bounds[row]
+                    for slot in range(bounds[row], bounds[row + 1])
                 }
-        self._slot_of = slot_index
+                for row, obj in enumerate(self.objects)
+            }
+        self._row_of = row_index
+        self._value_of = value_index
         self._src_code = {source: i for i, source in enumerate(self.sources)}
-        adjacent: dict[int, list[tuple[int, int]]] = {}
-        for k, (i, j) in enumerate(
-            zip(self.pair_s1.tolist(), self.pair_s2.tolist())
-        ):
-            adjacent.setdefault(i, []).append((j, k))
-            adjacent.setdefault(j, []).append((i, k))
-        self._adjacent = adjacent
+        # Both endpoints of pair k sit at positions 2k and 2k + 1, so a
+        # stable sort by endpoint keeps each source's entries in pair
+        # order. Held as lists: reads are scalar, and list.index scans
+        # one source's segment in C.
+        ends = np.column_stack((self.pair_s1, self.pair_s2)).ravel()
+        order = np.argsort(ends, kind="stable")
+        partners = np.column_stack((self.pair_s2, self.pair_s1)).ravel()
+        counts = np.bincount(ends, minlength=len(self.sources))
+        self._adj_ptr = [0, *np.cumsum(counts).tolist()]
+        self._adj_other = partners[order].tolist()
+        self._adj_pair = (order // 2).tolist()
         self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
@@ -258,7 +272,8 @@ class Snapshot:
             dataset_version=frozen["dataset_version"],
             round_id=result.rounds if round_id is None else round_id,
             version=version,
-            slot_index=frozen["slot_index"],
+            row_index=frozen["row_index"],
+            value_index=frozen["value_index"],
         )
 
     # ------------------------------------------------------------------
@@ -358,11 +373,11 @@ class Snapshot:
 
     def probability(self, obj: ObjectId, value: Value) -> float:
         """Posterior probability of one (object, value); 0.0 if unobserved."""
-        slot = self._slot_of.get(obj)
-        if slot is None:
-            self._row(obj)  # uniform unknown-object error
-        idx = slot.get(value)
-        return 0.0 if idx is None else float(self.probs[idx])
+        row = self._row(obj)
+        offset = self._value_of[obj].get(value)
+        if offset is None:
+            return 0.0
+        return float(self.probs[self.bounds[row] + offset])
 
     def distribution(self, obj: ObjectId) -> dict[Value, float]:
         """The full value distribution of one object (a fresh dict)."""
@@ -400,37 +415,39 @@ class Snapshot:
         """Objects the source covered at freeze time."""
         return int(self.coverage[self._code(source)])
 
+    def _pair(self, i: int, j: int) -> int | None:
+        """The pair index of source codes ``i`` and ``j``, if analysed."""
+        try:
+            pos = self._adj_other.index(
+                j, self._adj_ptr[i], self._adj_ptr[i + 1]
+            )
+        except ValueError:
+            return None
+        return self._adj_pair[pos]
+
     def dependence_probability(self, s1: SourceId, s2: SourceId) -> float:
         """Total dependence posterior of a pair (0.0 if unanalysed)."""
-        i, j = self._code(s1), self._code(s2)
-        if i > j:
-            i, j = j, i
-        for other, k in self._adjacent.get(i, ()):
-            if other == j:
-                return float(self.p_dependent[k])
-        return 0.0
+        k = self._pair(self._code(s1), self._code(s2))
+        return 0.0 if k is None else float(self.p_dependent[k])
 
     def directed_probability(
         self, copier: SourceId, original: SourceId
     ) -> float:
         """Posterior that ``copier`` copies ``original`` (0.0 if unanalysed)."""
         i, j = self._code(copier), self._code(original)
-        lo, hi = (i, j) if i < j else (j, i)
-        for other, k in self._adjacent.get(lo, ()):
-            if other == hi:
-                directed = (
-                    self.p_s1_copies if i == lo else self.p_s2_copies
-                )
-                return float(directed[k])
-        return 0.0
+        k = self._pair(i, j)
+        if k is None:
+            return 0.0
+        directed = self.p_s1_copies if i < j else self.p_s2_copies
+        return float(directed[k])
 
     def dependence_score(self, source: SourceId) -> float:
         """Max dependence posterior over the source's analysed pairs."""
         code = self._code(source)
-        pairs = self._adjacent.get(code)
+        pairs = self._adj_pair[self._adj_ptr[code] : self._adj_ptr[code + 1]]
         if not pairs:
             return 0.0
-        return max(float(self.p_dependent[k]) for _, k in pairs)
+        return max(float(self.p_dependent[k]) for k in pairs)
 
     def explain_dependence(
         self, source: SourceId, threshold: float = 0.0
@@ -447,8 +464,9 @@ class Snapshot:
                 f"threshold must be in [0, 1], got {threshold}"
             )
         code = self._code(source)
+        lo, hi = self._adj_ptr[code], self._adj_ptr[code + 1]
         entries = []
-        for other, k in self._adjacent.get(code, ()):
+        for other, k in zip(self._adj_other[lo:hi], self._adj_pair[lo:hi]):
             p = float(self.p_dependent[k])
             if p < threshold:
                 continue

@@ -8,21 +8,48 @@ flat per-object claim segments, plus the exchange format that lets the
 evidence engine read truth probabilities positionally instead of probing
 ``{object: {value: p}}`` dicts per entry.
 
-Two classes:
+Three classes:
 
-:class:`ValueProbTable` — the exchange format. Every *(object, observed
-value)* pair of the dataset is one **slot** of a flat ``float64``
-probability array; slots are grouped into per-object segments (CSR
-bounds over the sorted object list), in each object's value-registration
-order — the same first-encounter interning discipline the evidence
-engine's entry table uses, extended from agreement values to every
-observed claim. :meth:`~ValueProbTable.set_probs` swaps in a new
-probability array and computes the **moved-slot mask** (entries whose
-probability changed beyond a tolerance), which is what lets DEPEN's
-iterative rounds re-score only the pairs an update actually touched.
+:class:`TruthLayout` — the immutable structure a round runs over, shared
+by the two classes below. It holds the slot table (every *(object,
+observed value)* pair of the dataset is one **slot**; slots are grouped
+into per-object segments, CSR ``bounds`` over the sorted object list, in
+each object's value-registration order — the same first-encounter
+interning discipline the evidence engine's entry table uses, extended
+from agreement values to every observed claim), the claim arrays in
+vote order (per slot, its providers in the by-object index's set order)
+and in accuracy order (per sorted source, its claims in by-source
+insertion order). The slot index is row-relative: ``row_of`` maps an
+object to its row and ``value_offsets`` an object to ``{value: offset
+within the row's segment}``, so an object whose claims did not change
+keeps its inner dict when rows shift around it.
+
+:meth:`TruthLayout.sync` derives a dataset state's layout from the
+previous one plus :meth:`~repro.core.dataset.ClaimDataset.mutations_since`,
+the way :meth:`~repro.dependence.evidence.EvidenceCache.sync` repairs
+evidence. Segments of objects and sources the log did not touch are
+copied with array operations (slot ids shifted, source codes remapped
+through an old-to-new array, a clean source's slots mapped through an
+old-to-new slot array); only dirty objects' segments (in
+``values_for_view`` order and provider-set order) and dirty sources'
+segments (in ``claims_by_view`` order) are rebuilt from the dataset —
+the same views a cold build reads, and a clean segment cannot have
+changed, so a synced layout is bit-for-bit the cold build. The cold
+build *is* a sync: from the empty layout, with every object and source
+dirty; it runs when there is no previous layout or the log was
+compacted past it. A sync returns a new layout and never writes the old
+one, because published snapshots share its arrays and index dicts.
+
+:class:`ValueProbTable` — the exchange format: a flat ``float64``
+probability per slot of a layout, plus the per-run state (``probs``,
+``moved``, ``version``). :meth:`~ValueProbTable.set_probs` swaps in a
+new probability array and computes the **moved-slot mask** (entries
+whose probability changed beyond a tolerance), which is what lets
+DEPEN's iterative rounds re-score only the pairs an update actually
+touched.
 
 :class:`TruthRoundEngine` — the vectorised kernels for the four round
-steps, sharing the table's slot universe:
+steps, over the table's layout:
 
 1. *vote counts* — ACCU is one ``np.bincount`` of per-claim scores into
    slots; DEPEN additionally discounts copied votes: claims are sorted
@@ -70,6 +97,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import insort
 from collections.abc import Mapping
 
 import numpy as np
@@ -85,7 +113,7 @@ from repro.exceptions import DataError, ParameterError
 #: params class applies it through its own env-override hook instead).
 TRUTH_BACKEND_ENV = "REPRO_TRUTH_BACKEND"
 
-_table_uids = itertools.count()
+_layout_uids = itertools.count()
 
 
 def resolve_truth_backend(setting: str, *, consult_env: bool = False) -> str:
@@ -113,21 +141,380 @@ def resolve_truth_backend(setting: str, *, consult_env: bool = False) -> str:
     return setting
 
 
+def _runs(new_idx, old_idx):
+    """Maximal runs over which two ascending index arrays both step by one.
+
+    Returns ``(new_starts, old_starts, lengths)``: element ``k`` of run
+    ``r`` sits at ``new_starts[r] + k`` on the new side and at
+    ``old_starts[r] + k`` on the old one.
+    """
+    if not new_idx.size:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    breaks = np.flatnonzero(
+        (np.diff(new_idx) != 1) | (np.diff(old_idx) != 1)
+    ) + 1
+    firsts = np.concatenate(([0], breaks))
+    lengths = np.diff(np.append(firsts, new_idx.size))
+    return new_idx[firsts], old_idx[firsts], lengths
+
+
+def _positions(starts, lengths):
+    """Every position of the spans ``starts[i] : starts[i] + lengths[i]``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
+def _offsets(sizes):
+    """``[0, cumsum(sizes)...]``: the CSR start array of segment sizes."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _clean(n: int, dirty) -> np.ndarray:
+    """The ascending indexes below ``n`` that are not in ``dirty``."""
+    keep = np.ones(n, dtype=bool)
+    keep[np.asarray(dirty, dtype=np.int64)] = False
+    return np.flatnonzero(keep)
+
+
+class TruthLayout:
+    """The immutable structure a columnar truth round runs over.
+
+    Everything about a dataset state that the round's kernels read but
+    never change: the slot table (objects, CSR ``bounds``,
+    ``slot_values``, ``counts``, ``row_of_slot`` and the row-relative
+    slot index ``row_of`` / ``value_offsets``), the vote-order claim
+    arrays (``claim_slot``, ``claim_src``, ``slot_starts``,
+    ``max_group``) and the accuracy-order ones (``acc_slot``,
+    ``acc_src``, ``acc_counts``, ``acc_starts``). See the module
+    docstring for the orders and for how :meth:`sync` derives a layout
+    from the previous one.
+
+    A layout is never written after construction: its arrays are
+    read-only, and published snapshots share them, the objects list and
+    the index dicts as they are.
+    """
+
+    __slots__ = (
+        "dataset",
+        "dataset_version",
+        "uid",
+        "sources",
+        "src_code",
+        "objects",
+        "row_of",
+        "value_offsets",
+        "bounds",
+        "row_of_slot",
+        "slot_values",
+        "counts",
+        "slot_starts",
+        "claim_slot",
+        "claim_src",
+        "max_group",
+        "acc_starts",
+        "acc_slot",
+        "acc_src",
+        "acc_counts",
+    )
+
+    def __init__(self, dataset, dataset_version, **fields) -> None:
+        self.dataset = dataset
+        self.dataset_version = dataset_version
+        self.uid = next(_layout_uids)
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            setattr(self, name, value)
+
+    @classmethod
+    def sync(
+        cls, dataset: ClaimDataset, previous: "TruthLayout | None" = None
+    ) -> "TruthLayout":
+        """The layout of ``dataset``'s current state.
+
+        With a ``previous`` layout of the same dataset whose version the
+        mutation log still reaches, only the objects and sources the log
+        touched since are rebuilt; everything else is copied from
+        ``previous`` (which is left as it is). Otherwise — no previous
+        layout, another dataset, or a log compacted past it — this is a
+        sync from the empty layout with every object and source dirty:
+        the cold build.
+        """
+        if previous is not None and previous.dataset is dataset:
+            if previous.dataset_version == dataset.version:
+                return previous
+            try:
+                changes = dataset.mutations_since(previous.dataset_version)
+            except DataError:
+                pass
+            else:
+                touched: set[SourceId] = set()
+                for sources in changes.values():
+                    touched.update(sources)
+                return previous._patched(dataset, changes, touched)
+        return _EMPTY_LAYOUT._patched(dataset, dataset.objects, dataset.sources)
+
+    def _patched(self, dataset, dirty_objects, dirty_sources) -> "TruthLayout":
+        """A new layout: this one with the dirty segments rebuilt."""
+        old = self
+        # -- sources and their codes ------------------------------------
+        old_code = old.src_code
+        live_src = {}
+        for source in dirty_sources:
+            claims = dataset.claims_by_view(source)
+            if claims:
+                live_src[source] = claims
+        gone_src = {
+            s for s in dirty_sources if s in old_code and s not in live_src
+        }
+        new_src = [s for s in live_src if s not in old_code]
+        code_map = None
+        if gone_src or new_src:
+            sources = sorted(
+                [s for s in old.sources if s not in gone_src] + new_src
+            )
+            src_code = {s: i for i, s in enumerate(sources)}
+            code_map = np.fromiter(
+                (src_code.get(s, -1) for s in old.sources),
+                dtype=np.int64,
+                count=len(old.sources),
+            )
+        else:
+            sources, src_code = old.sources, old_code
+
+        # -- objects and rows -------------------------------------------
+        old_row = old.row_of
+        values_of = dataset.values_for_view
+        live = []
+        for obj in dirty_objects:
+            values = values_of(obj)
+            if values:
+                live.append((obj, values))
+        gone = {o for o in dirty_objects if o in old_row and not values_of(o)}
+        added = [o for o, _ in live if o not in old_row]
+        if gone or added:
+            objects = list(old.objects)
+            for row in sorted((old_row[o] for o in gone), reverse=True):
+                del objects[row]
+            for obj in added:
+                insort(objects, obj)
+            row_of = dict(zip(objects, range(len(objects))))
+        else:
+            objects, row_of = old.objects, old_row
+        live.sort(key=lambda item: row_of[item[0]])
+        dirty_new = [row_of[o] for o, _ in live]
+        dirty_old = [old_row[o] for o in dirty_objects if o in old_row]
+
+        # Dirty objects' segments, in the by-object index's order.
+        offsets = dict(old.value_offsets)
+        for obj in gone:
+            del offsets[obj]
+        d_values: list[Value] = []
+        d_sizes: list[int] = []
+        d_lengths: list[int] = []
+        d_src: list[int] = []
+        code_of = src_code.__getitem__
+        for obj, values in live:
+            local: dict[Value, int] = {}
+            for value, providers in values.items():
+                local[value] = len(local)
+                d_values.append(value)
+                d_sizes.append(len(providers))
+                d_src.extend(map(code_of, providers))
+            offsets[obj] = local
+            d_lengths.append(len(local))
+
+        # -- slot table -------------------------------------------------
+        n_rows = len(objects)
+        new_rows = _clean(n_rows, dirty_new)
+        old_rows = _clean(len(old.objects), dirty_old)
+        lengths = np.empty(n_rows, dtype=np.int64)
+        lengths[new_rows] = np.diff(old.bounds)[old_rows]
+        dirty_rows = np.asarray(dirty_new, dtype=np.int64)
+        lengths[dirty_rows] = d_lengths
+        bounds = _offsets(lengths)
+        run_new, run_old, run_rows = _runs(new_rows, old_rows)
+        span_new = bounds[run_new]
+        span_old = old.bounds[run_old]
+        span_len = old.bounds[run_old + run_rows] - span_old
+        slot_new = _positions(span_new, span_len)
+        slot_old = _positions(span_old, span_len)
+        dirty_slots = _positions(bounds[dirty_rows], lengths[dirty_rows])
+        n_slots = int(bounds[-1])
+        sizes = np.empty(n_slots, dtype=np.int64)
+        sizes[slot_new] = np.diff(old.slot_starts)[slot_old]
+        sizes[dirty_slots] = d_sizes
+        old_values = old.slot_values
+        if len(d_values) == n_slots:
+            values = d_values  # every segment rebuilt: a cold build
+        else:
+            values = [None] * n_slots
+            for a, b, n in zip(
+                span_new.tolist(), span_old.tolist(), span_len.tolist()
+            ):
+                values[a : a + n] = old_values[b : b + n]
+            for pos, value in zip(dirty_slots.tolist(), d_values):
+                values[pos] = value
+
+        # -- vote order: per slot, its providers ------------------------
+        slot_starts = _offsets(sizes)
+        claim_src = np.empty(int(slot_starts[-1]), dtype=np.int64)
+        claim_old = old.slot_starts[span_old]
+        claim_len = old.slot_starts[span_old + span_len] - claim_old
+        copied = old.claim_src[_positions(claim_old, claim_len)]
+        claim_src[_positions(slot_starts[span_new], claim_len)] = (
+            copied if code_map is None else code_map[copied]
+        )
+        first = slot_starts[bounds[dirty_rows]]
+        claim_src[
+            _positions(first, slot_starts[bounds[dirty_rows + 1]] - first)
+        ] = d_src
+
+        # -- accuracy order: per source, its claims ---------------------
+        n_src = len(sources)
+        dirty_codes = np.asarray(
+            sorted(src_code[s] for s in live_src), dtype=np.int64
+        )
+        new_codes = _clean(n_src, dirty_codes)
+        old_codes = _clean(
+            len(old.sources), [old_code[s] for s in dirty_sources if s in old_code]
+        )
+        d_claims = [live_src[sources[c]] for c in dirty_codes.tolist()]
+        acc_len = np.empty(n_src, dtype=np.int64)
+        acc_len[new_codes] = np.diff(old.acc_starts)[old_codes]
+        acc_len[dirty_codes] = [len(claims) for claims in d_claims]
+        acc_starts = _offsets(acc_len)
+        acc_slot = np.empty(int(acc_starts[-1]), dtype=np.int64)
+        run_new, run_old, run_codes = _runs(new_codes, old_codes)
+        acc_old = old.acc_starts[run_old]
+        acc_n = old.acc_starts[run_old + run_codes] - acc_old
+        if acc_n.size:
+            # A clean source's claims are unchanged, but the slots they
+            # point at may have moved: map old slots to new ones.
+            slot_map = np.full(len(old_values), -1, dtype=np.int64)
+            slot_map[slot_old] = slot_new
+            for obj in dirty_objects:
+                row = old_row.get(obj)
+                if row is None or obj in gone:
+                    continue
+                old_base = int(old.bounds[row])
+                new_base = int(bounds[row_of[obj]])
+                local = offsets[obj]
+                for value, off in old.value_offsets[obj].items():
+                    new_off = local.get(value)
+                    if new_off is not None:
+                        slot_map[old_base + off] = new_base + new_off
+            acc_slot[_positions(acc_starts[run_new], acc_n)] = slot_map[
+                old.acc_slot[_positions(acc_old, acc_n)]
+            ]
+        d_rows: list[int] = []
+        d_offs: list[int] = []
+        row_at = row_of.__getitem__
+        for claims in d_claims:
+            d_rows.extend(map(row_at, claims))
+            d_offs.extend([offsets[o][c.value] for o, c in claims.items()])
+        acc_slot[
+            _positions(acc_starts[dirty_codes], acc_len[dirty_codes])
+        ] = bounds[np.asarray(d_rows, dtype=np.int64)] + d_offs
+
+        return TruthLayout(
+            dataset,
+            dataset.version,
+            sources=sources,
+            src_code=src_code,
+            objects=objects,
+            row_of=row_of,
+            value_offsets=offsets,
+            bounds=bounds,
+            row_of_slot=np.repeat(np.arange(n_rows, dtype=np.int64), lengths),
+            slot_values=tuple(values),
+            counts=sizes.astype(np.float64),
+            slot_starts=slot_starts,
+            claim_slot=np.repeat(np.arange(n_slots, dtype=np.int64), sizes),
+            claim_src=claim_src,
+            max_group=int(sizes.max()) if n_slots else 0,
+            acc_starts=acc_starts,
+            acc_slot=acc_slot,
+            acc_src=np.repeat(np.arange(n_src, dtype=np.int64), acc_len),
+            acc_counts=acc_len.astype(np.float64),
+        )
+
+    def slot(self, obj: ObjectId, value: Value) -> int:
+        """The slot id of one (object, value); ``KeyError`` if unobserved."""
+        return int(self.bounds[self.row_of[obj]]) + self.value_offsets[obj][value]
+
+    def slots(self, objects, values) -> np.ndarray:
+        """Bulk :meth:`slot` over parallel sequences (``int64`` array).
+
+        A ``None`` object marks a padding position and maps to slot 0.
+        """
+        row_of = self.row_of
+        offsets = self.value_offsets
+        rows = [0 if obj is None else row_of[obj] for obj in objects]
+        local = [
+            0 if obj is None else offsets[obj][value]
+            for obj, value in zip(objects, values)
+        ]
+        return self.bounds[np.asarray(rows, dtype=np.int64)] + np.asarray(
+            local, dtype=np.int64
+        )
+
+
+def _empty_layout() -> TruthLayout:
+    none = np.empty(0, dtype=np.int64)
+    start = np.zeros(1, dtype=np.int64)
+    return TruthLayout(
+        None,
+        -1,
+        sources=[],
+        src_code={},
+        objects=[],
+        row_of={},
+        value_offsets={},
+        bounds=start,
+        row_of_slot=none,
+        slot_values=(),
+        counts=np.empty(0, dtype=np.float64),
+        slot_starts=start,
+        claim_slot=none,
+        claim_src=none,
+        max_group=0,
+        acc_starts=start,
+        acc_slot=none,
+        acc_src=none,
+        acc_counts=np.empty(0, dtype=np.float64),
+    )
+
+
+#: What a cold build syncs from: no objects, no sources, no claims.
+_EMPTY_LAYOUT = _empty_layout()
+
+
 class ValueProbTable:
     """Columnar value-probability exchange: one slot per (object, value).
 
     Parameters
     ----------
     dataset:
-        The claim store; the table snapshots its *structure* (objects,
-        observed values, provider counts) at construction and records
-        ``dataset.version``. Consumers refuse a table whose version no
-        longer matches — ingest means rebuilding the table.
+        The claim store. The table's structure (objects, observed
+        values, provider counts) is a :class:`TruthLayout` of
+        ``dataset``'s current state, and the table records that
+        version. Consumers refuse a table whose version no longer
+        matches: ingest means a new table.
     value_probs:
         Initial probabilities as the classic nested dict; ``None``
         initialises the truth-agnostic uniform distribution (each of an
         object's observed values equally likely), bit-for-bit equal to
         :func:`~repro.dependence.bayes.uniform_value_probabilities`.
+    layout:
+        The structure to use, already synced to ``dataset``'s current
+        version (:meth:`TruthLayout.sync`); ``None`` builds it cold.
 
     Layout: ``probs[slot]`` is the probability of slot ``slot``;
     ``bounds[row] : bounds[row + 1]`` is the slot segment of the
@@ -136,13 +523,15 @@ class ValueProbTable:
     insertion order — the same order the evidence engine's per-object
     value lists use, which is what keeps the empirical model's
     ``k_false`` accumulation bitwise identical across layouts).
-    ``counts[slot]`` is the slot's provider count.
+    ``counts[slot]`` is the slot's provider count. The structural
+    attributes are the layout's own (shared, read-only) objects; only
+    ``probs``, ``moved`` and ``version`` belong to the table.
     """
 
     __slots__ = (
         "dataset",
         "dataset_version",
-        "uid",
+        "layout",
         "objects",
         "bounds",
         "row_of_slot",
@@ -151,55 +540,51 @@ class ValueProbTable:
         "probs",
         "moved",
         "version",
-        "_slot_of",
     )
 
     def __init__(
         self,
         dataset: ClaimDataset,
         value_probs: Mapping[ObjectId, Mapping[Value, float]] | None = None,
+        *,
+        layout: TruthLayout | None = None,
     ) -> None:
+        if layout is None:
+            layout = TruthLayout.sync(dataset)
+        elif (
+            layout.dataset is not dataset
+            or layout.dataset_version != dataset.version
+        ):
+            raise DataError(
+                "truth layout is bound to another dataset (or another "
+                "version of it) — sync it first"
+            )
         self.dataset = dataset
-        self.dataset_version = dataset.version
-        self.uid = next(_table_uids)
-        self.objects: list[ObjectId] = dataset.objects
-        slot_values: list[Value] = []
-        counts: list[int] = []
-        bounds = [0]
-        slot_of: dict[ObjectId, dict[Value, int]] = {}
-        probs: list[float] = []
-        for obj in self.objects:
-            values = dataset.values_for_view(obj)
-            local: dict[Value, int] = {}
-            if value_probs is None:
-                share = 1.0 / len(values)
-                for value, providers in values.items():
-                    local[value] = len(slot_values)
-                    slot_values.append(value)
-                    counts.append(len(providers))
-                    probs.append(share)
-            else:
+        self.dataset_version = layout.dataset_version
+        self.layout = layout
+        self.objects: list[ObjectId] = layout.objects
+        self.bounds = layout.bounds
+        self.row_of_slot = layout.row_of_slot
+        self.slot_values: tuple = layout.slot_values
+        self.counts = layout.counts
+        if value_probs is None:
+            # 1.0 / len(values) per object, as the dict path divides.
+            probs = (1.0 / np.diff(self.bounds))[self.row_of_slot]
+        else:
+            bounds = self.bounds.tolist()
+            flat: list[float] = []
+            for row, obj in enumerate(self.objects):
                 obj_probs = value_probs.get(obj, {})
-                for value, providers in values.items():
-                    local[value] = len(slot_values)
-                    slot_values.append(value)
-                    counts.append(len(providers))
-                    probs.append(obj_probs.get(value, 0.0))
-            slot_of[obj] = local
-            bounds.append(len(slot_values))
-        self.slot_values = slot_values
-        self.counts = np.asarray(counts, dtype=np.float64)
-        self.bounds = np.asarray(bounds, dtype=np.int64)
-        row_of_slot = np.empty(len(slot_values), dtype=np.int64)
-        for row in range(len(self.objects)):
-            row_of_slot[bounds[row] : bounds[row + 1]] = row
-        self.row_of_slot = row_of_slot
-        self.probs = np.asarray(probs, dtype=np.float64)
+                flat.extend(
+                    obj_probs.get(value, 0.0)
+                    for value in self.slot_values[bounds[row] : bounds[row + 1]]
+                )
+            probs = np.asarray(flat, dtype=np.float64)
+        self.probs = probs
         # Nothing has been exchanged yet: every slot counts as moved, so
         # a first consumer of the mask re-scores everything.
-        self.moved = np.ones(len(slot_values), dtype=bool)
+        self.moved = np.ones(len(self.slot_values), dtype=bool)
         self.version = 0
-        self._slot_of = slot_of
 
     def __len__(self) -> int:
         return len(self.slot_values)
@@ -207,7 +592,7 @@ class ValueProbTable:
     def slot(self, obj: ObjectId, value: Value) -> int:
         """The slot id of one (object, value); raises if unknown."""
         try:
-            return self._slot_of[obj][value]
+            return self.layout.slot(obj, value)
         except KeyError:
             raise DataError(
                 f"({obj!r}, {value!r}) is not an observed claim of the "
@@ -243,29 +628,27 @@ class ValueProbTable:
         """Copy-on-write freeze of the table's current state for publication.
 
         Returns the arrays a :class:`~repro.serve.snapshot.Snapshot`
-        needs, all marked read-only. The structural arrays (``bounds``,
-        ``counts``, ``row_of_slot``) are never written in place after
-        construction, so they are shared zero-copy and locked in place —
-        an accidental in-place write anywhere would raise from then on.
-        ``probs`` *is* replaced each round (:meth:`set_probs` swaps the
-        whole array rather than mutating, which is what makes the freeze
-        safe), but the incoming array may alias a producer's buffer, so
-        the frozen copy is materialised once per publish. The slot index
-        (object -> value -> slot) is built once at construction and
-        never written again, so it is shared as it is.
+        needs, all read-only. The structure is the layout's, which is
+        never written after construction, so its arrays, slot values and
+        row-relative slot index (object -> row, object -> value -> offset
+        within the row's segment) are shared as they are. ``probs`` *is*
+        replaced each round (:meth:`set_probs` swaps the whole array
+        rather than mutating, which is what makes the freeze safe), but
+        the incoming array may alias a producer's buffer, so the frozen
+        copy is materialised once per publish.
         """
         probs = self.probs.copy()
         probs.flags.writeable = False
-        for arr in (self.bounds, self.counts, self.row_of_slot):
-            arr.flags.writeable = False
+        layout = self.layout
         return {
             "objects": tuple(self.objects),
-            "slot_values": tuple(self.slot_values),
+            "slot_values": self.slot_values,
             "bounds": self.bounds,
             "counts": self.counts,
             "row_of_slot": self.row_of_slot,
             "probs": probs,
-            "slot_index": self._slot_of,
+            "row_index": layout.row_of,
+            "value_index": layout.value_offsets,
             "dataset_version": self.dataset_version,
         }
 
@@ -288,11 +671,11 @@ class ValueProbTable:
 class TruthRoundEngine:
     """Vectorised kernels for one ACCU/DEPEN truth round.
 
-    Owns the flat claim arrays over a :class:`ValueProbTable`'s slot
-    universe, in the two iteration orders the dict path's accumulations
-    follow (see each kernel), plus the rank-sorted claim permutation the
-    DEPEN discount needs — cached and recomputed only when the global
-    accuracy ranking changes, exactly like
+    Reads the flat claim arrays of a :class:`ValueProbTable`'s
+    :class:`TruthLayout`, in the two iteration orders the dict path's
+    accumulations follow (see each kernel), and owns the rank-sorted
+    claim permutation the DEPEN discount needs — cached and recomputed
+    only when the global accuracy ranking changes, exactly like
     :class:`~repro.truth.vote_counting.VoteOrderCache`.
     """
 
@@ -306,56 +689,31 @@ class TruthRoundEngine:
                 "value-probability table is bound to a different dataset"
             )
         self.dataset = dataset
-        self.dataset_version = dataset.version
+        self.dataset_version = table.dataset_version
         self.table = table
-        self.sources: list[SourceId] = dataset.sources
-        src_code = {source: i for i, source in enumerate(self.sources)}
+        layout = table.layout
+        self.sources: list[SourceId] = layout.sources
         self.n_sources = len(self.sources)
         self.n_slots = len(table)
         self.n_objects = len(table.objects)
-
         # Vote-counting order: per slot, providers in the by-object
         # index's set iteration order — the exact order the dict path's
         # `sum(scores[s] for s in providers)` walks, so the ACCU
         # bincount accumulates bitwise identically.
-        claim_slot: list[int] = []
-        claim_src: list[int] = []
-        slot_of = table._slot_of
-        for obj in table.objects:
-            local = slot_of[obj]
-            for value, providers in dataset.values_for_view(obj).items():
-                slot = local[value]
-                for source in providers:
-                    claim_slot.append(slot)
-                    claim_src.append(src_code[source])
-        self.claim_slot = np.asarray(claim_slot, dtype=np.int64)
-        self.claim_src = np.asarray(claim_src, dtype=np.int64)
-
+        self.claim_slot = layout.claim_slot
+        self.claim_src = layout.claim_src
         # Accuracy order: per source (sorted), that source's claims in
         # its by-source insertion order — the dict path's
         # `soft_accuracies` walk, for the same bitwise reason.
-        acc_slot: list[int] = []
-        acc_src: list[int] = []
-        acc_counts = np.zeros(self.n_sources, dtype=np.float64)
-        for code, source in enumerate(self.sources):
-            claims = dataset.claims_by_view(source)
-            acc_counts[code] = len(claims)
-            for obj, claim in claims.items():
-                acc_slot.append(slot_of[obj][claim.value])
-                acc_src.append(code)
-        self._acc_slot = np.asarray(acc_slot, dtype=np.int64)
-        self._acc_src = np.asarray(acc_src, dtype=np.int64)
-        self._acc_counts = acc_counts
-
+        self._acc_slot = layout.acc_slot
+        self._acc_src = layout.acc_src
+        self._acc_counts = layout.acc_counts
         # Static slot geometry for the DEPEN grouping.
-        slot_sizes = np.bincount(self.claim_slot, minlength=self.n_slots)
-        starts = np.zeros(self.n_slots + 1, dtype=np.int64)
-        np.cumsum(slot_sizes, out=starts[1:])
-        self._slot_starts = starts[:-1]
-        self._max_group = int(slot_sizes.max()) if slot_sizes.size else 0
+        self._slot_starts = layout.slot_starts[:-1]
+        self._max_group = layout.max_group
 
         # Rank-order cache (DEPEN): rebuilt only on ranking change.
-        self._ranking: list[int] | None = None
+        self._ranking = None
         self._sorted_slot = None
         self._sorted_src = None
         self._lags: list[tuple] = []
@@ -437,11 +795,10 @@ class TruthRoundEngine:
         gather indexes are reused as-is, the array analogue of
         :class:`~repro.truth.vote_counting.VoteOrderCache`.
         """
-        acc = clamped.tolist()
-        ranking = sorted(
-            range(self.n_sources), key=lambda code: (-acc[code], code)
-        )
-        if ranking == self._ranking:
+        # Sources by (-accuracy, code): a stable sort keeps ties in
+        # code order.
+        ranking = np.argsort(-clamped, kind="stable")
+        if self._ranking is not None and np.array_equal(ranking, self._ranking):
             return
         rank_of = np.empty(self.n_sources, dtype=np.int64)
         rank_of[ranking] = np.arange(self.n_sources)

@@ -46,6 +46,7 @@ from repro.truth.base import (
     TruthResult,
 )
 from repro.truth.columnar import (
+    TruthLayout,
     TruthRoundEngine,
     ValueProbTable,
     dependence_matrix,
@@ -150,6 +151,7 @@ class Depen(TruthDiscovery):
         dataset: ClaimDataset,
         *,
         evidence_cache: EvidenceCache | None = None,
+        layout: TruthLayout | None = None,
     ) -> TruthResult:
         """Run the iterative loop; see the module docstring.
 
@@ -159,6 +161,14 @@ class Depen(TruthDiscovery):
         ingest pays no structural pass at all. The cache must be bound
         to this dataset and built for the same params and overlap
         prefilter — all three are checked.
+
+        ``layout`` is the same for the truth round's structure: the
+        :class:`~repro.truth.columnar.TruthLayout` of an earlier run
+        over this dataset, which the run syncs through the mutation log
+        (:meth:`~repro.truth.columnar.TruthLayout.sync`) instead of
+        building one from every claim. The run's own layout is
+        ``result.columnar.table.layout``. Results are bit-for-bit those
+        of a cold run either way.
         """
         self._check_dataset(dataset)
         if evidence_cache is not None:
@@ -178,7 +188,9 @@ class Depen(TruthDiscovery):
         backend = resolve_truth_backend(self.params.truth_backend)
         try:
             if backend == "columnar":
-                return self._iterate_columnar(dataset, evidence_cache, it)
+                return self._iterate_columnar(
+                    dataset, evidence_cache, it, layout
+                )
             order_cache = VoteOrderCache(dataset)
             return self._iterate(
                 dataset, evidence_cache, order_cache, it
@@ -274,6 +286,7 @@ class Depen(TruthDiscovery):
         dataset: ClaimDataset,
         evidence_cache: EvidenceCache,
         it: IterationParams,
+        layout: TruthLayout | None,
     ) -> TruthResult:
         """The same loop as :meth:`_iterate`, as array kernels.
 
@@ -321,11 +334,13 @@ class Depen(TruthDiscovery):
         """
         import numpy as np
 
-        table = ValueProbTable(dataset)
+        table = ValueProbTable(
+            dataset, layout=TruthLayout.sync(dataset, layout)
+        )
         engine = TruthRoundEngine(dataset, table)
         params = self.params
         sources = engine.sources
-        src_code = {source: i for i, source in enumerate(sources)}
+        src_code = table.layout.src_code
         tol = it.rescore_tolerance
         accuracies = np.full(
             engine.n_sources, it.initial_accuracy, dtype=np.float64

@@ -26,6 +26,7 @@ HEALTHY = {
             "speedups_by_dirty_fraction": {"2%": 12.0, "5%": 9.0, "10%": 6.5}
         },
         "mutation_sync": {"speedup": 3.9, "mutations": 300},
+        "truth_layout_sync_vs_rebuild": {"speedup": 8.0, "mutations": 125},
         "serial_vs_sharded": {"speedups": {"numpy": 2.1, "process_4": 1.6}},
         "streaming_rescore": {"pairs": 1225, "rescored": 77},
         "sync_delta": {

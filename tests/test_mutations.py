@@ -35,6 +35,7 @@ from repro.dependence.evidence import EvidenceCache
 from repro.dependence.streaming import StreamingDependenceEngine
 from repro.exceptions import DataError
 from repro.session import Session
+from repro.truth.accu import Accu
 
 REFERENCE_PARAMS = DependenceParams(
     parallel_backend="serial", entry_store="list"
@@ -51,6 +52,32 @@ def _assert_same_evidence(incremental, cold, context=""):
         assert a.kd == b.kd, (context, key)
         assert a.shared_values == b.shared_values, (context, key)
         assert a.shared_count == b.shared_count, (context, key)
+
+
+def _provider_orders(dataset):
+    """Every object's values and provider sets, in iteration order."""
+    return {
+        obj: [
+            (value, list(providers))
+            for value, providers in dataset.values_for_view(obj).items()
+        ]
+        for obj in dataset.objects
+    }
+
+
+def _assert_same_accu(result, expected):
+    """Two ACCU results agree bit for bit (floats compared by ``hex``)."""
+    assert {s: a.hex() for s, a in result.accuracies.items()} == {
+        s: a.hex() for s, a in expected.accuracies.items()
+    }
+    assert result.decisions == expected.decisions
+    assert {
+        obj: {value: p.hex() for value, p in dist.items()}
+        for obj, dist in result.distributions.items()
+    } == {
+        obj: {value: p.hex() for value, p in dist.items()}
+        for obj, dist in expected.distributions.items()
+    }
 
 
 def _seed_claims(rng, n_sources=8, n_objects=20, coverage=12, n_values=3):
@@ -481,11 +508,15 @@ class TestTransactionalApply:
             before_version = dataset.version
             before_log = dataset.mutations_since(0)
             before_claims = list(dataset)  # exact iteration order
+            before_providers = _provider_orders(dataset)
+            before_accu = Accu().discover(dataset)
             with pytest.raises(DataError):
                 dataset.apply(poison)
             assert dataset.version == before_version
             assert dataset.mutations_since(0) == before_log
             assert list(dataset) == before_claims
+            assert _provider_orders(dataset) == before_providers
+            _assert_same_accu(Accu().discover(dataset), before_accu)
 
         # The cache synced over the rolled-back dataset equals a cold
         # rebuild — nothing half-applied leaked into evidence.
@@ -508,6 +539,26 @@ class TestTransactionalApply:
             cold.collect_all(probs),
             context="clean batch after rollbacks",
         )
+
+    def test_rollback_keeps_provider_order(self):
+        """A provider set that grew and shrank keeps its iteration order
+        through a rolled-back batch (a copy of it would not)."""
+        claims = [Claim(f"s{i:03d}", "o", "v") for i in range(40)]
+        claims += [
+            Claim(f"s{i:03d}", "p", "w" if i % 3 else "x") for i in range(40)
+        ]
+        dataset = ClaimDataset(claims)
+        dataset.retract_claims([(f"s{i:03d}", "o") for i in range(5, 40)])
+        before_providers = _provider_orders(dataset)
+        before_accu = Accu().discover(dataset)
+        poison = MutationBatch(
+            corrections=(Claim("s000", "o", "z"),),
+            adds=(Claim("s001", "p", "poison"),),
+        )
+        with pytest.raises(DataError):
+            dataset.apply(poison)
+        assert _provider_orders(dataset) == before_providers
+        _assert_same_accu(Accu().discover(dataset), before_accu)
 
     def test_partial_retraction_phase_rolls_back(self, tiny_dataset):
         """The first retraction lands before the second raises — and is
