@@ -340,7 +340,10 @@ class ClaimDataset:
             # provider rows, its sets) is kept untouched for rollback and
             # the batch mutates a fresh copy. A set copied after it grew
             # and shrank iterates in another order than the original, so
-            # restoring copies would not restore iteration order.
+            # restoring copies would not restore iteration order. Called
+            # only for mutations that change something: copying the row
+            # of an identical duplicate would reorder its sets at an
+            # unchanged version and with no mutation record.
             key = (source, obj)
             if key not in saved_keys:
                 saved_keys[key] = self._by_key.get(key)
@@ -372,7 +375,7 @@ class ClaimDataset:
                 retracted += 1
                 dirty.add(obj)
             for claim in batch.corrections:
-                if isinstance(claim, Claim):
+                if isinstance(claim, Claim) and self._by_key.get(claim.key) != claim:
                     snapshot(claim.source, claim.object)
                 before = self._version
                 self.correct(claim)
@@ -382,7 +385,7 @@ class ClaimDataset:
                     corrected += 1
                     dirty.add(claim.object)
             for claim in batch.adds:
-                if isinstance(claim, Claim):
+                if isinstance(claim, Claim) and self._by_key.get(claim.key) != claim:
                     snapshot(claim.source, claim.object)
                 before = self._version
                 self.add(claim)

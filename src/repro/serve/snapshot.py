@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.core.dataset import ClaimDataset
 from repro.core.types import ObjectId, SourceId, Value
-from repro.exceptions import DataError, ServeError
+from repro.exceptions import ServeError
 from repro.truth.base import ColumnarTruth, TruthResult
 from repro.truth.columnar import ValueProbTable
 
@@ -499,12 +499,10 @@ def _columnar_form(dataset: ClaimDataset, result: TruthResult) -> ColumnarTruth:
     table = ValueProbTable(dataset, result.distributions)
     decisions = result.decisions
     try:
-        winners = np.fromiter(
-            (table.slot(obj, decisions[obj]) for obj in table.objects),
-            dtype=np.int64,
-            count=len(table.objects),
+        winners = table.layout.slots(
+            table.objects, [decisions[obj] for obj in table.objects]
         )
-    except (KeyError, DataError) as exc:
+    except KeyError as exc:
         raise ServeError(
             f"truth result does not cover the dataset it is frozen over: {exc}"
         ) from None

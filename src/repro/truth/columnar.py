@@ -99,6 +99,7 @@ import itertools
 import os
 from bisect import insort
 from collections.abc import Mapping
+from operator import attrgetter, getitem
 
 import numpy as np
 
@@ -114,6 +115,7 @@ from repro.exceptions import DataError, ParameterError
 TRUTH_BACKEND_ENV = "REPRO_TRUTH_BACKEND"
 
 _layout_uids = itertools.count()
+_value_of = attrgetter("value")
 
 
 def resolve_truth_backend(setting: str, *, consult_env: bool = False) -> str:
@@ -291,23 +293,27 @@ class TruthLayout:
         # -- objects and rows -------------------------------------------
         old_row = old.row_of
         values_of = dataset.values_for_view
-        live = []
-        for obj in dirty_objects:
+        live = []  # sorted by object, hence by row
+        gone = set()
+        for obj in sorted(dirty_objects):
             values = values_of(obj)
             if values:
                 live.append((obj, values))
-        gone = {o for o in dirty_objects if o in old_row and not values_of(o)}
+            elif obj in old_row:
+                gone.add(obj)
         added = [o for o, _ in live if o not in old_row]
         if gone or added:
             objects = list(old.objects)
             for row in sorted((old_row[o] for o in gone), reverse=True):
                 del objects[row]
-            for obj in added:
-                insort(objects, obj)
+            if objects:
+                for obj in added:
+                    insort(objects, obj)
+            else:
+                objects = added
             row_of = dict(zip(objects, range(len(objects))))
         else:
             objects, row_of = old.objects, old_row
-        live.sort(key=lambda item: row_of[item[0]])
         dirty_new = [row_of[o] for o, _ in live]
         dirty_old = [old_row[o] for o in dirty_objects if o in old_row]
 
@@ -316,19 +322,14 @@ class TruthLayout:
         for obj in gone:
             del offsets[obj]
         d_values: list[Value] = []
-        d_sizes: list[int] = []
         d_lengths: list[int] = []
-        d_src: list[int] = []
-        code_of = src_code.__getitem__
+        d_providers: list = []
         for obj, values in live:
-            local: dict[Value, int] = {}
-            for value, providers in values.items():
-                local[value] = len(local)
-                d_values.append(value)
-                d_sizes.append(len(providers))
-                d_src.extend(map(code_of, providers))
-            offsets[obj] = local
-            d_lengths.append(len(local))
+            offsets[obj] = dict(zip(values, range(len(values))))
+            d_values.extend(values)
+            d_providers.extend(values.values())
+            d_lengths.append(len(values))
+        d_sizes = list(map(len, d_providers))
 
         # -- slot table -------------------------------------------------
         n_rows = len(objects)
@@ -372,9 +373,12 @@ class TruthLayout:
             copied if code_map is None else code_map[copied]
         )
         first = slot_starts[bounds[dirty_rows]]
-        claim_src[
-            _positions(first, slot_starts[bounds[dirty_rows + 1]] - first)
-        ] = d_src
+        dirty_claims = _positions(first, slot_starts[bounds[dirty_rows + 1]] - first)
+        claim_src[dirty_claims] = np.fromiter(
+            map(src_code.__getitem__, itertools.chain.from_iterable(d_providers)),
+            dtype=np.int64,
+            count=dirty_claims.size,
+        )
 
         # -- accuracy order: per source, its claims ---------------------
         n_src = len(sources)
@@ -413,15 +417,21 @@ class TruthLayout:
             acc_slot[_positions(acc_starts[run_new], acc_n)] = slot_map[
                 old.acc_slot[_positions(acc_old, acc_n)]
             ]
-        d_rows: list[int] = []
-        d_offs: list[int] = []
-        row_at = row_of.__getitem__
-        for claims in d_claims:
-            d_rows.extend(map(row_at, claims))
-            d_offs.extend([offsets[o][c.value] for o, c in claims.items()])
+        # Dirty sources' claims: slot = its row's start + the value's
+        # offset in the row, looked up in C-level maps.
+        d_objs = list(itertools.chain.from_iterable(d_claims))
+        d_vals = map(
+            _value_of,
+            itertools.chain.from_iterable(claims.values() for claims in d_claims),
+        )
+        n = len(d_objs)
+        rows = np.fromiter(map(row_of.__getitem__, d_objs), np.int64, n)
+        offs = np.fromiter(
+            map(getitem, map(offsets.__getitem__, d_objs), d_vals), np.int64, n
+        )
         acc_slot[
             _positions(acc_starts[dirty_codes], acc_len[dirty_codes])
-        ] = bounds[np.asarray(d_rows, dtype=np.int64)] + d_offs
+        ] = bounds[rows] + offs
 
         return TruthLayout(
             dataset,

@@ -542,7 +542,8 @@ class TestTransactionalApply:
 
     def test_rollback_keeps_provider_order(self):
         """A provider set that grew and shrank keeps its iteration order
-        through a rolled-back batch (a copy of it would not)."""
+        through a rolled-back batch and through a successful batch of
+        identical replays (a copy of it would not)."""
         claims = [Claim(f"s{i:03d}", "o", "v") for i in range(40)]
         claims += [
             Claim(f"s{i:03d}", "p", "w" if i % 3 else "x") for i in range(40)
@@ -557,6 +558,18 @@ class TestTransactionalApply:
         )
         with pytest.raises(DataError):
             dataset.apply(poison)
+        assert _provider_orders(dataset) == before_providers
+        _assert_same_accu(Accu().discover(dataset), before_accu)
+        # A batch of identical replays succeeds, changes nothing and so
+        # must not reorder anything either.
+        version = dataset.version
+        delta = dataset.apply(
+            MutationBatch(
+                corrections=(Claim("s000", "o", "v"),),
+                adds=(Claim("s001", "o", "v"), Claim("s002", "p", "w")),
+            )
+        )
+        assert delta.duplicates == 3 and dataset.version == version
         assert _provider_orders(dataset) == before_providers
         _assert_same_accu(Accu().discover(dataset), before_accu)
 

@@ -62,8 +62,14 @@ def _seed(rng):
 
 
 def _batch(rng, dataset):
-    """A valid mixed batch; sometimes wipes a whole source or object."""
-    live = sorted((c.source, c.object) for c in dataset)
+    """A valid mixed batch; sometimes wipes a whole source or object,
+    sometimes replays identical claims (tolerated, and they change
+    nothing), sometimes is nothing but such replays."""
+    claims = {(c.source, c.object): c for c in dataset}
+    live = sorted(claims)
+    if rng.random() < 0.15:
+        replay = [claims[key] for key in rng.sample(live, min(len(live), 3))]
+        return MutationBatch(adds=tuple(replay[:2]), corrections=tuple(replay[2:]))
     retract = set(rng.sample(live, min(len(live), rng.randrange(0, 4))))
     wipe = rng.random()
     if wipe < 0.15 and live:
@@ -78,8 +84,12 @@ def _batch(rng, dataset):
         value = _value(rng)
         if value != dataset.value_of(source, obj):
             corrections.append(Claim(source, obj, value))
+    corrected = {(c.source, c.object) for c in corrections}
+    stable = [key for key in rest if key not in corrected]
+    replay = [claims[key] for key in rng.sample(stable, min(len(stable), 2))]
+    corrections += replay[:1]
     taken = set(rest)
-    adds = []
+    adds = replay[1:]
     # Retracted keys may come straight back (re-added claims move to the
     # end of their source's claim order).
     candidates = [(rng.choice(SOURCES), rng.choice(OBJECTS)) for _ in range(5)]
@@ -172,10 +182,11 @@ def test_unchanged_dataset_reuses_layout():
     assert TruthLayout.sync(dataset, layout) is layout
 
 
-def test_rolled_back_batch_keeps_the_layout_valid():
-    """One version means one iteration order: after a poison batch that
-    touched a provider set which grew and shrank, the layout kept for
-    that version still equals the cold build."""
+def test_rolled_back_or_replayed_batch_keeps_the_layout_valid():
+    """One version means one iteration order: after a poison batch, or a
+    batch of identical replays, that touched a provider set which grew
+    and shrank, the layout kept for that version still equals the cold
+    build."""
     dataset = ClaimDataset(Claim(f"s{i:03d}", "o", "v") for i in range(40))
     dataset.retract_claims([(f"s{i:03d}", "o") for i in range(5, 40)])
     layout = TruthLayout.sync(dataset)
@@ -189,6 +200,16 @@ def test_rolled_back_batch_keeps_the_layout_valid():
     assert_same_layout(
         TruthLayout.sync(dataset, layout), TruthLayout.sync(dataset), dataset
     )
+    version = dataset.version
+    dataset.apply(
+        MutationBatch(
+            adds=(Claim("s001", "o", "v"),),
+            corrections=(Claim("s000", "o", "v"),),
+        )
+    )
+    assert dataset.version == version
+    assert TruthLayout.sync(dataset, layout) is layout
+    assert_same_layout(layout, TruthLayout.sync(dataset), dataset)
 
 
 def test_sync_shares_clean_segments_and_compaction_falls_back_cold():
