@@ -300,13 +300,15 @@ class ClaimDataset:
         back: dataset state, mutation log and version afterwards are
         exactly as if ``apply`` had never been called, so a poison batch
         can be quarantined and every other producer's data keeps
-        flowing. The batch mutates copies of the index rows it touches
-        (copy-on-write, on first touch) and rollback puts the untouched
-        originals back (not inverse replay), which preserves the inner
-        dicts' insertion order and the provider sets' iteration order
-        bit-for-bit — downstream float accumulation over provider rows
-        is order-sensitive, so this is what keeps a rolled-back
-        dataset's evidence and truth identical to a never-applied one.
+        flowing. The batch mutates copies of the index rows its
+        changing mutations touch (copy-on-write, on first touch;
+        identical duplicates copy nothing) and rollback puts the
+        untouched originals back (not inverse replay), which preserves
+        the inner dicts' insertion order and the provider sets'
+        iteration order bit-for-bit — downstream float accumulation
+        over provider rows is order-sensitive, so this is what keeps a
+        rolled-back or duplicate-only batch's dataset, and its evidence
+        and truth, identical to a never-applied one.
         """
         if not isinstance(batch, MutationBatch):
             batch = MutationBatch.from_claims(batch)

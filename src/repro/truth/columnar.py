@@ -291,17 +291,29 @@ class TruthLayout:
             sources, src_code = old.sources, old_code
 
         # -- objects and rows -------------------------------------------
+        # Dirty objects' segments, in the by-object index's order, walked
+        # in object (hence row) order.
         old_row = old.row_of
         values_of = dataset.values_for_view
-        live = []  # sorted by object, hence by row
+        offsets = dict(old.value_offsets)
+        live: list[ObjectId] = []
         gone = set()
+        d_values: list[Value] = []
+        d_lengths: list[int] = []
+        d_providers: list = []
         for obj in sorted(dirty_objects):
             values = values_of(obj)
             if values:
-                live.append((obj, values))
+                live.append(obj)
+                offsets[obj] = dict(zip(values, range(len(values))))
+                d_values.extend(values)
+                d_providers.extend(values.values())
+                d_lengths.append(len(values))
             elif obj in old_row:
                 gone.add(obj)
-        added = [o for o, _ in live if o not in old_row]
+                del offsets[obj]
+        d_sizes = list(map(len, d_providers))
+        added = [o for o in live if o not in old_row]
         if gone or added:
             objects = list(old.objects)
             for row in sorted((old_row[o] for o in gone), reverse=True):
@@ -309,27 +321,13 @@ class TruthLayout:
             if objects:
                 for obj in added:
                     insort(objects, obj)
-            else:
+            else:  # a cold build: ``added`` is sorted, as ``live`` is
                 objects = added
             row_of = dict(zip(objects, range(len(objects))))
         else:
             objects, row_of = old.objects, old_row
-        dirty_new = [row_of[o] for o, _ in live]
+        dirty_new = list(map(row_of.__getitem__, live))
         dirty_old = [old_row[o] for o in dirty_objects if o in old_row]
-
-        # Dirty objects' segments, in the by-object index's order.
-        offsets = dict(old.value_offsets)
-        for obj in gone:
-            del offsets[obj]
-        d_values: list[Value] = []
-        d_lengths: list[int] = []
-        d_providers: list = []
-        for obj, values in live:
-            offsets[obj] = dict(zip(values, range(len(values))))
-            d_values.extend(values)
-            d_providers.extend(values.values())
-            d_lengths.append(len(values))
-        d_sizes = list(map(len, d_providers))
 
         # -- slot table -------------------------------------------------
         n_rows = len(objects)
@@ -424,10 +422,12 @@ class TruthLayout:
             _value_of,
             itertools.chain.from_iterable(claims.values() for claims in d_claims),
         )
-        n = len(d_objs)
-        rows = np.fromiter(map(row_of.__getitem__, d_objs), np.int64, n)
+        n_claims = len(d_objs)
+        rows = np.fromiter(map(row_of.__getitem__, d_objs), np.int64, n_claims)
         offs = np.fromiter(
-            map(getitem, map(offsets.__getitem__, d_objs), d_vals), np.int64, n
+            map(getitem, map(offsets.__getitem__, d_objs), d_vals),
+            np.int64,
+            n_claims,
         )
         acc_slot[
             _positions(acc_starts[dirty_codes], acc_len[dirty_codes])
@@ -581,14 +581,13 @@ class ValueProbTable:
             # 1.0 / len(values) per object, as the dict path divides.
             probs = (1.0 / np.diff(self.bounds))[self.row_of_slot]
         else:
-            bounds = self.bounds.tolist()
+            # An object's offsets dict iterates its values in slot order.
+            offsets = layout.value_offsets
+            zeros = itertools.repeat(0.0)  # the default of each get
             flat: list[float] = []
-            for row, obj in enumerate(self.objects):
+            for obj in self.objects:
                 obj_probs = value_probs.get(obj, {})
-                flat.extend(
-                    obj_probs.get(value, 0.0)
-                    for value in self.slot_values[bounds[row] : bounds[row + 1]]
-                )
+                flat.extend(map(obj_probs.get, offsets[obj], zeros))
             probs = np.asarray(flat, dtype=np.float64)
         self.probs = probs
         # Nothing has been exchanged yet: every slot counts as moved, so
