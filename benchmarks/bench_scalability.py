@@ -30,17 +30,24 @@ import random
 import time
 from itertools import accumulate
 
+import numpy as np
+
 from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset, MutationBatch
 from repro.core.params import DependenceParams, IterationParams
-from repro.dependence.bayes import pair_posterior, uniform_value_probabilities
+from repro.dependence.bayes import (
+    PairDependence,
+    pair_posterior,
+    uniform_value_probabilities,
+)
 from repro.dependence.evidence import EvidenceCache
-from repro.dependence.graph import discover_dependence
+from repro.dependence.graph import DependenceGraph, discover_dependence
 from repro.dependence.streaming import StreamingDependenceEngine
 from repro.eval import render_table
 from repro.generators import simple_copier_world
 from repro.truth import Depen
-from repro.truth.columnar import TruthLayout
+from repro.truth.columnar import TruthLayout, TruthRoundEngine, dependence_matrix
+from repro.truth.vote_counting import all_discounted_vote_counts
 
 # Shared CI runners have noisy neighbours and shifting CPU frequency;
 # wall-clock ratios measured there gate with looser thresholds so the
@@ -492,6 +499,104 @@ def test_truth_round_columnar_vs_dict(benchmark, bench_record):
         },
     )
     assert speedup >= (2.5 if _ON_CI else 2.6)
+
+
+def test_depen_vote_kernel_wide_groups(benchmark, bench_record):
+    """DEPEN's discounted vote counts on wide slot groups: kernel vs dict path.
+
+    Shaped like perfbench's dense-rounds world: 120 sources each claim
+    180 of 600 objects, so an object's true-value slot groups up to ~45
+    providers, and the dependence graph holds every source pair. Each
+    call brings a new accuracy ranking, so the columnar kernel re-sorts
+    its claims and re-gathers its pair codes every time, as in a run
+    whose ranking has not settled; the factor geometry is built once.
+    Counts must be bit-for-bit the dict path's; the acceptance floor is
+    20x (10x on CI).
+    """
+    rng = random.Random(41)
+    objects = [f"o{i:03d}" for i in range(600)]
+    claims = []
+    for i in range(120):
+        accuracy = rng.uniform(0.6, 0.95)
+        for obj in rng.sample(objects, 180):
+            value = "t" if rng.random() < accuracy else f"f{rng.randrange(100)}"
+            claims.append(Claim(f"s{i:03d}", obj, value))
+    dataset = ClaimDataset(claims)
+    engine = TruthRoundEngine(dataset)
+    sources = engine.sources
+    graph = DependenceGraph()
+    for i, a in enumerate(sources):
+        for b in sources[i + 1 :]:
+            p = rng.random() ** 4  # mostly near-independent, a few copiers
+            graph.add(PairDependence(a, b, 1.0 - p, p / 2, p / 2))
+    dep = dependence_matrix(graph, sources)
+    rankings = [
+        [rng.uniform(0.6, 0.95) for _ in sources] for _ in range(4)
+    ]
+    layout = engine.table.layout
+    max_group = int(max(np.diff(layout.slot_starts).tolist()))
+
+    def columnar_calls():
+        out = []
+        for accs in rankings:
+            clamped = np.array(accs)
+            out.append(
+                engine.depen_counts(engine.scores(clamped, 100), dep, 0.8, clamped)
+            )
+        return out
+
+    benchmark.pedantic(columnar_calls, rounds=1, iterations=1)
+    columnar_times = []
+    for _ in range(5):  # best-of-5: noisy-neighbour insurance
+        started = time.perf_counter()
+        counts = columnar_calls()
+        columnar_times.append(time.perf_counter() - started)
+    started = time.perf_counter()
+    reference = []
+    for accs in rankings:
+        scores = engine.scores(np.array(accs), 100).tolist()
+        reference.append(
+            all_discounted_vote_counts(
+                dataset,
+                dict(zip(sources, scores)),
+                graph,
+                0.8,
+                dict(zip(sources, accs)),
+            )
+        )
+    dict_seconds = time.perf_counter() - started
+    for got, expected in zip(counts, reference):
+        for obj, by_value in expected.items():
+            for value, count in by_value.items():
+                assert got[layout.slot(obj, value)] == count  # bitwise
+
+    columnar_seconds = min(columnar_times)
+    speedup = dict_seconds / columnar_seconds
+    print()
+    print("S1: DEPEN vote counts, wide groups, a new ranking every call")
+    print(
+        render_table(
+            ["path", "calls", "seconds"],
+            [
+                ["dict", len(rankings), dict_seconds],
+                ["columnar", len(rankings), columnar_seconds],
+                ["speedup", "", speedup],
+            ],
+        )
+    )
+    bench_record(
+        "depen_vote_kernel",
+        {
+            "workload": "120 sources x 600 objects, 180 claims each, all pairs",
+            "claims": len(dataset),
+            "max_group": max_group,
+            "calls": len(rankings),
+            "dict_seconds": dict_seconds,
+            "columnar_seconds": columnar_seconds,
+            "speedup": speedup,
+        },
+    )
+    assert speedup >= (10.0 if _ON_CI else 20.0)
 
 
 def test_ingest_vs_rebuild_scaling(benchmark, bench_record):

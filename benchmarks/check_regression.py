@@ -66,6 +66,12 @@ GATES: dict[str, list[tuple[str, Callable[[dict], float], str, float]]] = {
             2.5,
         ),
     ],
+    "depen_vote_kernel": [
+        # DEPEN's discounted vote counts on dense-rounds-wide slot
+        # groups, a new ranking on every call, vs the dict path (the
+        # bench also asserts the counts are bit-for-bit equal).
+        ("depen_vote_kernel.speedup", lambda s: s["speedup"], "min", 8.0),
+    ],
     "serial_vs_sharded": [
         (
             "serial_vs_sharded.speedups.numpy",

@@ -67,7 +67,7 @@ class ColumnarAgreeStore:
     carries stamps across the renumbering.
     """
 
-    __slots__ = ("_eids", "_sids", "_used", "_dead", "_n_sids", "_stamps")
+    __slots__ = ("_eids", "_sids", "_used", "_dead", "_n_sids", "_stamps", "_live")
 
     def __init__(self) -> None:
         self._eids = np.empty(0, dtype=np.int64)
@@ -76,6 +76,7 @@ class ColumnarAgreeStore:
         self._dead = 0  # tombstoned + slack cells below the mark
         self._n_sids = 0
         self._stamps = np.empty(0, dtype=np.int64)
+        self._live = None  # live()'s cached (sids, eids); None = stale
 
     # -- introspection (tests and compaction policy) --------------------
 
@@ -103,6 +104,7 @@ class ColumnarAgreeStore:
         order; slot ids are assigned in that order. Replaces any
         previous contents.
         """
+        self._live = None
         items = [(slot, eids) for slot, eids in segments]
         total = sum(len(eids) for _, eids in items)
         self._eids = np.empty(total, dtype=np.int64)
@@ -130,6 +132,7 @@ class ColumnarAgreeStore:
         each segment's cells in object order and has already written the
         slots' ``sid``/``start``/``length``/``cap`` geometry.
         """
+        self._live = None
         self._eids = np.ascontiguousarray(eids, dtype=np.int64)
         self._sids = np.ascontiguousarray(sids, dtype=np.int64)
         self._used = int(self._eids.size)
@@ -153,19 +156,30 @@ class ColumnarAgreeStore:
         return self._eids[slot.start : slot.start + slot.length]
 
     def live(self):
-        """The live cells as parallel ``(sids, eids)`` arrays.
+        """The live cells as parallel, read-only ``(sids, eids)`` arrays.
 
         Segment-contiguous, each segment's cells in object order — the
         canonical flat view every vectorised consumer (segment sums,
         moved-pair flagging, the batched posterior kernel) reads.
+
+        The pair is cached: views of the cell arrays while no cell below
+        the high-water mark is dead, otherwise one compacted copy. Every
+        method that writes cells or geometry (:meth:`pack`,
+        :meth:`adopt`, :meth:`insert`, :meth:`remove`, :meth:`release`,
+        :meth:`append_segment`, :meth:`compact` and the growth inside
+        them) drops the cache, so the next call re-masks the cells.
         """
-        sids = self._sids[: self._used]
-        eids = self._eids[: self._used]
-        if self._dead:
-            mask = sids >= 0
-            sids = sids[mask]
-            eids = eids[mask]
-        return sids, eids
+        if self._live is None:
+            sids = self._sids[: self._used]
+            eids = self._eids[: self._used]
+            if self._dead:
+                mask = sids >= 0
+                sids = sids[mask]
+                eids = eids[mask]
+            sids.flags.writeable = False
+            eids.flags.writeable = False
+            self._live = sids, eids
+        return self._live
 
     def sums(self, p):
         """Per-slot ``(Σ p, Σ (1-p))`` over the live segments.
@@ -246,6 +260,7 @@ class ColumnarAgreeStore:
         the segment to the array tail (with room to grow) and
         tombstones the old region.
         """
+        self._live = None
         start, length, cap = slot.start, slot.length, slot.cap
         eids, sids = self._eids, self._sids
         if length < cap:
@@ -279,6 +294,7 @@ class ColumnarAgreeStore:
 
     def remove(self, slot, pos: int) -> None:
         """Remove the cell at segment position ``pos`` (shift left)."""
+        self._live = None
         start, length = slot.start, slot.length
         eids, sids = self._eids, self._sids
         eids[start + pos : start + length - 1] = eids[
@@ -291,6 +307,7 @@ class ColumnarAgreeStore:
 
     def release(self, slot) -> None:
         """Tombstone a retired slot's whole region."""
+        self._live = None
         start, cap = slot.start, slot.cap
         self._eids[start : start + cap] = 0
         self._sids[start : start + cap] = -1
@@ -300,6 +317,7 @@ class ColumnarAgreeStore:
 
     def append_segment(self, slot, eids: Sequence[int]) -> None:
         """Place a freshly collected segment at the tail (backfill)."""
+        self._live = None
         n = len(eids)
         start = self._used
         self._ensure(start + n)
@@ -327,6 +345,7 @@ class ColumnarAgreeStore:
         refresh, which the mutation that made compaction worthwhile
         already forces).
         """
+        self._live = None
         live = list(slots)
         old = self._eids
         old_stamps = self._stamps
@@ -356,6 +375,7 @@ class ColumnarAgreeStore:
         self._stamps = stamps
 
     def _ensure(self, n: int) -> None:
+        self._live = None
         if self._eids.size >= n:
             return
         size = max(n, 2 * self._eids.size, 256)

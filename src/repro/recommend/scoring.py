@@ -73,7 +73,10 @@ class SourceScorecard:
 
     def score(self, weights: ScoreWeights | None = None) -> float:
         """Weighted composite score in [0, 1]."""
-        w = (weights or ScoreWeights()).normalised()
+        return self._composite((weights or ScoreWeights()).normalised())
+
+    def _composite(self, w: ScoreWeights) -> float:
+        """The composite under already-normalised weights ``w``."""
         return (
             w.accuracy * self.accuracy
             + w.coverage * self.coverage
@@ -118,9 +121,8 @@ def rank_sources(
     weights: ScoreWeights | None = None,
 ) -> list[SourceId]:
     """Sources by decreasing composite score (ties lexicographic)."""
-    return sorted(
-        cards, key=lambda s: (-cards[s].score(weights), s)
-    )
+    w = (weights or ScoreWeights()).normalised()
+    return sorted(cards, key=lambda s: (-cards[s]._composite(w), s))
 
 
 def recommend_sources(
@@ -147,22 +149,28 @@ def recommend_sources(
     if goal not in ("truth", "diversity"):
         raise ParameterError(f"goal must be 'truth' or 'diversity', got {goal!r}")
 
-    remaining = set(cards)
+    # Each source's running score is its composite times one penalty
+    # factor per pick so far, multiplied in pick order.
+    w = (weights or ScoreWeights()).normalised()
+    remaining = sorted(cards)
+    scores = [cards[source]._composite(w) for source in remaining]
     picked: list[SourceId] = []
     while remaining and len(picked) < k:
-        best = None
-        best_score = -1.0
-        for source in sorted(remaining):
-            score = cards[source].score(weights)
-            for prior in picked:
-                score *= 1.0 - copy_rate * _penalty(
-                    source, prior, dependence, goal, opinion_dependence
+        # The first (smallest) source with the highest running score.
+        best = max(range(len(scores)), key=scores.__getitem__)
+        prior = remaining.pop(best)
+        del scores[best]
+        picked.append(prior)
+        if len(picked) < k:
+            scores = [
+                score
+                * (
+                    1.0
+                    - copy_rate
+                    * _penalty(source, prior, dependence, goal, opinion_dependence)
                 )
-            if score > best_score:
-                best_score = score
-                best = source
-        picked.append(best)
-        remaining.discard(best)
+                for source, score in zip(remaining, scores)
+            ]
     return picked
 
 

@@ -56,9 +56,11 @@ steps, over the table's layout:
    by ``(slot, accuracy rank)`` (the argsort reuses
    :class:`~repro.truth.vote_counting.VoteOrderCache`'s insight — every
    per-value provider ordering is a projection of one global ranking,
-   so the sort is recomputed only when the ranking changes) and the
-   cumulative independence-weight product is applied lag by lag over
-   the grouped arrays, in exactly the reference walk's order;
+   so the sort is recomputed only when the ranking changes). Which
+   claim positions discount which does not depend on the ranking, so
+   that geometry is built once per engine; a round gathers every
+   factor from the dependence matrix at once and multiplies each
+   claim's run of factors in exactly the reference walk's order;
 2. *decisions* — per-object segment max with the reference tie-break;
 3. *distributions* — segment softmax (max-shift, exponentiate, segment
    sum, divide);
@@ -75,7 +77,9 @@ so results are **bit-for-bit identical** to it, not merely close:
   sequentially in input order (the PR 4 entry-store fact), with the
   input arrays laid out in the dict path's own iteration order;
 * the DEPEN discount multiplies its factors in the reference order
-  (earliest counted provider first), one lag per pass;
+  (earliest counted provider first), with ``np.multiply.reduceat``,
+  whose per-segment product is sequential (unlike ``np.add``'s
+  pairwise sum);
 * ``exp``/``log`` come from :mod:`repro.core.fmath` on both sides: the
   kernels call its array ``log_array``/``exp_array`` (numpy's SIMD
   ``np.log``/``np.exp``), and the dict path's
@@ -184,6 +188,32 @@ def _clean(n: int, dirty) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+def _factor_geometry(slot_starts):
+    """The DEPEN discount's claim-position geometry of a vote-order layout.
+
+    Within a slot's group (its claims sorted by accuracy rank), the
+    claim at offset ``j > 0`` is discounted by one factor per earlier
+    claim ``i < j``. Which positions pair up depends only on the group
+    sizes, not on the ranking, so it is built once per run. Returns
+    ``(later, pair_j, pair_i, seg)``: the positions with an offset
+    above 0; for every within-slot pair, j-major and ascending ``i``,
+    the later and the earlier position; and where each ``later``
+    position's run of pairs starts.
+    """
+    sizes = np.diff(slot_starts)
+    offset = np.arange(int(slot_starts[-1]), dtype=np.int64) - np.repeat(
+        slot_starts[:-1], sizes
+    )
+    later = np.flatnonzero(offset)
+    runs = offset[later]
+    return (
+        later,
+        np.repeat(later, runs),
+        _positions(later - runs, runs),
+        _offsets(runs)[:-1],
+    )
+
+
 class TruthLayout:
     """The immutable structure a columnar truth round runs over.
 
@@ -191,11 +221,10 @@ class TruthLayout:
     never change: the slot table (objects, CSR ``bounds``,
     ``slot_values``, ``counts``, ``row_of_slot`` and the row-relative
     slot index ``row_of`` / ``value_offsets``), the vote-order claim
-    arrays (``claim_slot``, ``claim_src``, ``slot_starts``,
-    ``max_group``) and the accuracy-order ones (``acc_slot``,
-    ``acc_src``, ``acc_counts``, ``acc_starts``). See the module
-    docstring for the orders and for how :meth:`sync` derives a layout
-    from the previous one.
+    arrays (``claim_slot``, ``claim_src``, ``slot_starts``) and the
+    accuracy-order ones (``acc_slot``, ``acc_src``, ``acc_counts``,
+    ``acc_starts``). See the module docstring for the orders and for
+    how :meth:`sync` derives a layout from the previous one.
 
     A layout is never written after construction: its arrays are
     read-only, and published snapshots share them, the objects list and
@@ -218,7 +247,6 @@ class TruthLayout:
         "slot_starts",
         "claim_slot",
         "claim_src",
-        "max_group",
         "acc_starts",
         "acc_slot",
         "acc_src",
@@ -448,7 +476,6 @@ class TruthLayout:
             slot_starts=slot_starts,
             claim_slot=np.repeat(np.arange(n_slots, dtype=np.int64), sizes),
             claim_src=claim_src,
-            max_group=int(sizes.max()) if n_slots else 0,
             acc_starts=acc_starts,
             acc_slot=acc_slot,
             acc_src=np.repeat(np.arange(n_src, dtype=np.int64), acc_len),
@@ -494,7 +521,6 @@ def _empty_layout() -> TruthLayout:
         slot_starts=start,
         claim_slot=none,
         claim_src=none,
-        max_group=0,
         acc_starts=start,
         acc_slot=none,
         acc_src=none,
@@ -682,10 +708,12 @@ class TruthRoundEngine:
 
     Reads the flat claim arrays of a :class:`ValueProbTable`'s
     :class:`TruthLayout`, in the two iteration orders the dict path's
-    accumulations follow (see each kernel), and owns the rank-sorted
-    claim permutation the DEPEN discount needs — cached and recomputed
-    only when the global accuracy ranking changes, exactly like
-    :class:`~repro.truth.vote_counting.VoteOrderCache`.
+    accumulations follow (see each kernel), and owns what the DEPEN
+    discount needs: the claim-pair geometry, built once per engine, and
+    the rank-sorted claims — cached and recomputed only when the global
+    accuracy ranking changes, exactly like
+    :class:`~repro.truth.vote_counting.VoteOrderCache`. An engine lives
+    for one run; the geometry stays off the shared layout.
     """
 
     def __init__(
@@ -717,15 +745,14 @@ class TruthRoundEngine:
         self._acc_slot = layout.acc_slot
         self._acc_src = layout.acc_src
         self._acc_counts = layout.acc_counts
-        # Static slot geometry for the DEPEN grouping.
-        self._slot_starts = layout.slot_starts[:-1]
-        self._max_group = layout.max_group
 
-        # Rank-order cache (DEPEN): rebuilt only on ranking change.
+        # DEPEN discount: the factor geometry is static for the run and
+        # built on first use; the rank-order state below is rebuilt
+        # only on a ranking change.
+        self._geometry = None
         self._ranking = None
-        self._sorted_slot = None
         self._sorted_src = None
-        self._lags: list[tuple] = []
+        self._pair_flat = None
 
     # -- guards ----------------------------------------------------------
 
@@ -776,7 +803,10 @@ class TruthRoundEngine:
         each slot's decreasing-accuracy order; claim ``j`` of a slot is
         weighted by ``Π_{i<j} (1 - c·P(dep))`` with the factors
         multiplied in ascending ``i`` — the reference
-        ``independence_weight`` walk, one lag per vectorised pass.
+        ``independence_weight`` walk. All factors of the round come
+        from one gather of ``dep_matrix`` at the rank-order pair codes,
+        and each later claim's run of factors is multiplied by one
+        ``np.multiply.reduceat``, a sequential product.
         """
         self._check_version()
         if not 0.0 < copy_rate < 1.0:
@@ -784,26 +814,32 @@ class TruthRoundEngine:
                 f"copy_rate must be in (0, 1), got {copy_rate}"
             )
         self._rank_order(clamped)
-        sorted_slot = self._sorted_slot
-        sorted_src = self._sorted_src
-        weight = np.ones(sorted_src.size, dtype=np.float64)
-        for idx, src, anchor_src in self._lags:
-            weight[idx] *= 1.0 - copy_rate * dep_matrix[src, anchor_src]
+        later, _, _, seg = self._geometry
+        factors = dep_matrix.take(self._pair_flat)
+        factors *= copy_rate
+        np.subtract(1.0, factors, out=factors)
+        weight = np.ones(self.claim_src.size, dtype=np.float64)
+        weight[later] = np.multiply.reduceat(factors, seg)
         return np.bincount(
-            sorted_slot,
-            weights=scores[sorted_src] * weight,
+            self.claim_slot,
+            weights=scores[self._sorted_src] * weight,
             minlength=self.n_slots,
         )
 
     def _rank_order(self, clamped) -> None:
-        """(Re)build the rank-sorted claim permutation and lag index.
+        """(Re)build the rank-order source codes of the claims and pairs.
 
         The global ranking — sources by ``(-accuracy, source)`` — is the
         only input; while it is unchanged (the common case once the
-        iteration starts settling) the cached argsort and per-lag
-        gather indexes are reused as-is, the array analogue of
-        :class:`~repro.truth.vote_counting.VoteOrderCache`.
+        iteration starts settling) the cached argsort and pair codes are
+        reused as-is, the array analogue of
+        :class:`~repro.truth.vote_counting.VoteOrderCache`. A change
+        re-sorts each slot's claims by rank and gathers the sources at
+        the factor geometry's positions, which do not depend on the
+        ranking (:func:`_factor_geometry`, built once per engine).
         """
+        if self._geometry is None:
+            self._geometry = _factor_geometry(self.table.layout.slot_starts)
         # Sources by (-accuracy, code): a stable sort keeps ties in
         # code order.
         ranking = np.argsort(-clamped, kind="stable")
@@ -812,24 +848,14 @@ class TruthRoundEngine:
         rank_of = np.empty(self.n_sources, dtype=np.int64)
         rank_of[ranking] = np.arange(self.n_sources)
         keys = self.claim_slot * self.n_sources + rank_of[self.claim_src]
-        order = np.argsort(keys, kind="stable")
-        sorted_slot = self.claim_slot[order]
-        sorted_src = self.claim_src[order]
-        offsets = (
-            np.arange(sorted_slot.size, dtype=np.int64)
-            - self._slot_starts[sorted_slot]
-        )
-        lags = []
-        for i in range(self._max_group - 1):
-            idx = np.flatnonzero(offsets > i)
-            if idx.size == 0:
-                break
-            anchor_pos = self._slot_starts[sorted_slot[idx]] + i
-            lags.append((idx, sorted_src[idx], sorted_src[anchor_pos]))
+        sorted_src = self.claim_src[np.argsort(keys, kind="stable")]
+        _, pair_j, pair_i, _ = self._geometry
+        flat = sorted_src[pair_j]
+        flat *= self.n_sources
+        flat += sorted_src[pair_i]
         self._ranking = ranking
-        self._sorted_slot = sorted_slot
         self._sorted_src = sorted_src
-        self._lags = lags
+        self._pair_flat = flat  # each pair's index into the raveled dep
 
     # -- steps 2 + 3: decisions and softmax distributions ----------------
 
@@ -849,18 +875,28 @@ class TruthRoundEngine:
 
         # Decisions: among each object's maximal-count slots, the dict
         # path's max((count, repr)) picks the largest repr, first wins.
+        # Every row has at least one tie, so with no more ties than rows
+        # each row's only tie wins.
         tie_slots = np.flatnonzero(counts == slot_peak)
-        tie_rows = row_of_slot[tie_slots]
-        _, first = np.unique(tie_rows, return_index=True)
-        winners = tie_slots[first]
-        n_ties = np.bincount(tie_rows, minlength=self.n_objects)
-        for row in np.flatnonzero(n_ties > 1).tolist():
-            lo, hi = np.searchsorted(tie_rows, [row, row + 1])
+        winners = tie_slots
+        if tie_slots.size > self.n_objects:
+            # The ties' rows ascend: a row's ties start where it changes.
+            tie_rows = row_of_slot[tie_slots]
+            starts = np.empty(tie_rows.size, dtype=bool)
+            starts[0] = True
+            np.not_equal(tie_rows[1:], tie_rows[:-1], out=starts[1:])
+            first = np.flatnonzero(starts)
+            winners = tie_slots[first]
+            n_ties = np.diff(first, append=tie_slots.size)
+            multi = np.flatnonzero(n_ties > 1)
             values = self.table.slot_values
-            winners[row] = max(
-                tie_slots[lo:hi].tolist(),
-                key=lambda slot: repr(values[slot]),
-            )
+            for row, lo, n in zip(
+                multi.tolist(), first[multi].tolist(), n_ties[multi].tolist()
+            ):
+                winners[row] = max(
+                    tie_slots[lo : lo + n].tolist(),
+                    key=lambda slot: repr(values[slot]),
+                )
 
         # Distributions: fmath's exp, bit for bit the dict path's (see
         # the module docstring); the normaliser is a sequential

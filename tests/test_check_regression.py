@@ -27,6 +27,7 @@ HEALTHY = {
         },
         "mutation_sync": {"speedup": 3.9, "mutations": 300},
         "truth_layout_sync_vs_rebuild": {"speedup": 8.0, "mutations": 125},
+        "depen_vote_kernel": {"speedup": 55.0, "calls": 4},
         "serial_vs_sharded": {"speedups": {"numpy": 2.1, "process_4": 1.6}},
         "streaming_rescore": {"pairs": 1225, "rescored": 77},
         "sync_delta": {
@@ -76,6 +77,7 @@ def test_healthy_trajectory_passes(tmp_path):
         "round_refresh.speedup",
         "ingest_vs_rebuild.speedup[5%]",
         "mutation_sync.speedup",
+        "depen_vote_kernel.speedup",
         "serial_vs_sharded.speedups.numpy",
         "streaming_rescore.rescored/pairs",
         "sync_delta.shipped_bytes_ratio",
@@ -155,6 +157,15 @@ def test_posterior_batch_gate_catches_slow_kernel(tmp_path):
     result = _run(tmp_path, doctored)
     assert result.returncode == 1
     assert "pair_posterior_batch.speedup" in result.stdout
+    assert "REGRESSION" in result.stdout
+
+
+def test_depen_vote_kernel_gate_catches_slow_kernel(tmp_path):
+    doctored = copy.deepcopy(HEALTHY)
+    doctored["results"]["depen_vote_kernel"]["speedup"] = 5.0  # below 8.0
+    result = _run(tmp_path, doctored)
+    assert result.returncode == 1
+    assert "depen_vote_kernel.speedup" in result.stdout
     assert "REGRESSION" in result.stdout
 
 

@@ -175,6 +175,43 @@ class TestStoreUnit:
         assert store.segment(late).tolist() == [7, 8]
         assert store.n_sids == 2
 
+    @staticmethod
+    def _assert_live_fresh(store):
+        raw_sids = store._sids[: store.used]
+        mask = raw_sids >= 0
+        sids, eids = store.live()
+        assert sids.tolist() == raw_sids[mask].tolist()
+        assert eids.tolist() == store._eids[: store.used][mask].tolist()
+        assert not sids.flags.writeable and not eids.flags.writeable
+        assert store.live()[0] is sids  # cached until the next mutation
+
+    def test_live_view_dropped_by_every_mutator(self):
+        import numpy as np
+
+        store = ColumnarAgreeStore()
+        slots = [self.Slot() for _ in range(4)]
+        store.pack(zip(slots, [[1, 2, 3], [4, 5], [6], []]))
+        self._assert_live_fresh(store)
+        store.insert(slots[1], 0, 7)  # full: relocates, grows the arrays
+        self._assert_live_fresh(store)
+        store.insert(slots[1], 3, 8)  # into the relocated region's slack
+        self._assert_live_fresh(store)
+        store.remove(slots[0], 1)
+        self._assert_live_fresh(store)
+        store.release(slots[2])
+        self._assert_live_fresh(store)
+        late = self.Slot()
+        store.new_sid(late)
+        store.append_segment(late, [2, 9])
+        self._assert_live_fresh(store)
+        store.compact([slots[0], slots[1], slots[3], late])
+        self._assert_live_fresh(store)
+        store.adopt(np.array([5, 6, 7]), np.array([0, 0, 1]), 2)
+        self._assert_live_fresh(store)
+        store.pack(zip(slots[:2], [[3], [1, 4]]))
+        self._assert_live_fresh(store)
+        assert store.live()[1].tolist() == [3, 1, 4]
+
     def test_maybe_compact_thresholds(self, monkeypatch):
         monkeypatch.setattr(entrystore, "COMPACT_MIN_DEAD", 1)
         store, slots = self._packed([[1, 2, 3], [4, 5]])

@@ -1,5 +1,7 @@
 """Tests for source recommendation scoring."""
 
+import random
+
 import pytest
 
 from repro.dependence.bayes import PairDependence
@@ -145,3 +147,65 @@ class TestRankAndRecommend:
         # the top-2; under "diversity" the pair is acceptable.
         assert not {"R1", "R4"} <= set(truth_picks)
         assert {"R1", "R4"} <= set(diverse_picks) or len(set(diverse_picks)) == 2
+
+
+def _greedy_oracle(cards, dependence, k, weights=None, copy_rate=0.8):
+    """The per-round rescoring loop: every remaining card scored anew."""
+    remaining = set(cards)
+    picked = []
+    while remaining and len(picked) < k:
+        best, best_score = None, -1.0
+        for source in sorted(remaining):
+            score = cards[source].score(weights)
+            for prior in picked:
+                score *= 1.0 - copy_rate * dependence.probability(source, prior)
+            if score > best_score:
+                best, best_score = source, score
+        picked.append(best)
+        remaining.discard(best)
+    return picked
+
+
+class TestRecommendMatchesRescoringLoop:
+    """Scoring each card once picks exactly what rescoring every round did."""
+
+    @pytest.fixture
+    def tied_world(self):
+        rng = random.Random(11)
+        sources = [f"s{i:02d}" for i in range(40)]
+        levels = (0.5, 0.7, 0.9)  # few distinct factors: many tied scores
+        cards = {
+            s: SourceScorecard(
+                s,
+                accuracy=rng.choice(levels),
+                coverage=rng.choice(levels),
+                freshness=1.0,
+                independence=rng.choice(levels),
+            )
+            for s in sources
+        }
+        pairs = [
+            (a, b, rng.choice((0.3, 0.6, 0.95)))
+            for i, a in enumerate(sources)
+            for b in sources[i + 1 :]
+            if rng.random() < 0.2
+        ]
+        return cards, _graph(pairs)
+
+    @pytest.mark.parametrize(
+        "weights", [None, ScoreWeights(1.0, 1.0, 0.0, 1.0), ScoreWeights(3, 0, 0, 1)]
+    )
+    def test_picks_identical(self, tied_world, weights):
+        cards, graph = tied_world
+        for k in (1, 2, 5, 13, 40, 45):
+            for copy_rate in (0.8, 0.5):
+                assert recommend_sources(
+                    cards, graph, k, weights=weights, copy_rate=copy_rate
+                ) == _greedy_oracle(cards, graph, k, weights, copy_rate)
+
+    def test_rank_matches_per_card_scores(self, tied_world):
+        cards, _ = tied_world
+        weights = ScoreWeights(3, 0, 0, 1)
+        assert rank_sources(cards, weights) == sorted(
+            cards, key=lambda s: (-cards[s].score(weights), s)
+        )

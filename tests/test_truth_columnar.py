@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams, IterationParams
-from repro.dependence.bayes import uniform_value_probabilities
+from repro.dependence.bayes import PairDependence, uniform_value_probabilities
 from repro.dependence.evidence import EvidenceCache
+from repro.dependence.graph import DependenceGraph
 from repro.dependence.streaming import StreamingDependenceEngine
 from repro.exceptions import DataError, ParameterError
 from repro.generators import simple_copier_world
@@ -34,7 +35,17 @@ from repro.truth import (
     ValueProbTable,
     resolve_truth_backend,
 )
-from repro.truth.vote_counting import VoteOrderCache
+from repro.truth import columnar
+from repro.truth.columnar import (
+    TruthRoundEngine,
+    _factor_geometry,
+    dependence_matrix,
+)
+from repro.truth.vote_counting import (
+    VoteOrderCache,
+    all_discounted_vote_counts,
+    decide,
+)
 
 ALL_MODEL_PARAMS = [
     {"false_value_model": model, "evidence_form": form}
@@ -659,3 +670,119 @@ class TestVoteOrderCacheIngest:
         dataset.compact_log()  # strands the incremental delta
         after = cache.orderings(accs)
         assert after == VoteOrderCache(dataset).orderings(accs)
+
+
+# ---------------------------------------------------------------------------
+# DEPEN vote kernel: run-static factor geometry
+# ---------------------------------------------------------------------------
+
+
+def _wide_group_world(seed, n_sources=60, n_objects=8):
+    """Every source claims every object; the majority value's slot group
+    holds >= 40 providers."""
+    rng = random.Random(seed)
+    claims = [
+        Claim(
+            source=f"S{i:02d}",
+            object=f"o{obj}",
+            value="v0" if rng.random() < 0.8 else f"v{rng.randrange(1, 3)}",
+        )
+        for i in range(n_sources)
+        for obj in range(n_objects)
+    ]
+    rng.shuffle(claims)
+    return ClaimDataset(claims), rng
+
+
+def _random_graph(rng, sources, share=0.3):
+    graph = DependenceGraph()
+    for i, a in enumerate(sources):
+        for b in sources[i + 1 :]:
+            if rng.random() < share:
+                p12, p21 = rng.random() * 0.5, rng.random() * 0.5
+                graph.add(PairDependence(a, b, 1.0 - p12 - p21, p12, p21))
+    return graph
+
+
+class TestDepenVoteKernel:
+    def test_factor_geometry_of_small_groups(self):
+        later, pair_j, pair_i, seg = _factor_geometry(np.array([0, 1, 4, 6]))
+        assert later.tolist() == [2, 3, 5]
+        assert pair_j.tolist() == [2, 3, 3, 5]
+        assert pair_i.tolist() == [1, 1, 2, 4]
+        assert seg.tolist() == [0, 1, 3]
+
+    def test_depen_counts_equal_dict_path_across_rankings(self):
+        dataset, rng = _wide_group_world(31)
+        engine = TruthRoundEngine(dataset)
+        layout = engine.table.layout
+        sources = engine.sources
+        assert max(np.diff(layout.slot_starts).tolist()) >= 40
+        levels = (0.55, 0.7, 0.85)  # tied accuracies: ties break by source
+        rankings = [{s: rng.choice(levels) for s in sources} for _ in range(4)]
+        rankings.insert(3, rankings[0])  # the ranking changes back
+        for accs in rankings:
+            clamped = np.array([accs[s] for s in sources])
+            scores = engine.scores(clamped, 3)
+            graph = _random_graph(rng, sources)
+            counts = engine.depen_counts(
+                scores, dependence_matrix(graph, sources), 0.8, clamped
+            )
+            reference = all_discounted_vote_counts(
+                dataset,
+                dict(zip(sources, scores.tolist())),
+                graph,
+                0.8,
+                accs,
+            )
+            for obj, by_value in reference.items():
+                for value, count in by_value.items():
+                    assert counts[layout.slot(obj, value)] == count  # bitwise
+
+    def test_geometry_built_once_per_engine(self, monkeypatch):
+        calls = []
+
+        def counted(slot_starts):
+            calls.append(1)
+            return _factor_geometry(slot_starts)
+
+        monkeypatch.setattr(columnar, "_factor_geometry", counted)
+        dataset, rng = _wide_group_world(32)
+        engine = TruthRoundEngine(dataset)
+        sources = engine.sources
+        dep = dependence_matrix(_random_graph(rng, sources), sources)
+        rankings = set()
+        for _ in range(5):
+            clamped = np.array([rng.random() * 0.5 + 0.4 for _ in sources])
+            rankings.add(tuple(np.argsort(-clamped, kind="stable").tolist()))
+            engine.depen_counts(engine.scores(clamped, 3), dep, 0.8, clamped)
+        assert len(rankings) == 5 and len(calls) == 1
+        # A whole DEPEN run builds it once, however many rounds it takes.
+        calls.clear()
+        result = Depen(
+            _depen_params("columnar"), IterationParams(max_rounds=6)
+        ).discover(dataset)
+        assert result.rounds > 1 and len(calls) == 1
+        # ACCU never discounts, so it never builds it.
+        calls.clear()
+        Accu(truth_backend="columnar").discover(dataset)
+        assert calls == []
+
+    def test_multi_tie_decisions_match_dict_path(self):
+        rng = random.Random(33)
+        claims = [
+            Claim(f"S{i:02d}", f"o{obj:02d}", f"v{rng.randrange(4)}")
+            for i in range(6)
+            for obj in range(40)
+        ]
+        dataset = ClaimDataset(claims)
+        engine = TruthRoundEngine(dataset)
+        table = engine.table
+        for _ in range(5):
+            # Few count levels: most objects tie two or more values.
+            counts = np.array([float(rng.randrange(3)) for _ in range(len(table))])
+            winners, _ = engine.decide_and_distributions(counts)
+            for row, obj in enumerate(table.objects):
+                lo, hi = int(table.bounds[row]), int(table.bounds[row + 1])
+                by_value = dict(zip(table.slot_values[lo:hi], counts[lo:hi]))
+                assert table.slot_values[winners[row]] == decide(by_value)

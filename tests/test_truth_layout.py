@@ -130,7 +130,6 @@ def assert_same_layout(synced, cold, dataset):
     assert synced.slot_values == cold.slot_values
     assert list(synced.objects) == list(cold.objects) == dataset.objects
     assert list(synced.sources) == list(cold.sources) == dataset.sources
-    assert synced.max_group == cold.max_group
     assert synced.row_of == cold.row_of
     assert synced.value_offsets == cold.value_offsets
     for claim in dataset:
