@@ -14,8 +14,9 @@ plus a round-scaling case showing the structural pass amortising, the
 ingest-vs-rebuild curve for incremental (dirty-object) maintenance, the
 serial-vs-sharded structural sweep
 (:mod:`repro.dependence.sharding`), the restricted posterior
-re-scoring of the streaming engine, and the columnar-vs-dict truth
-rounds (:mod:`repro.truth.columnar`) with DEPEN's in-round restricted
+re-scoring of the streaming engine, and the columnar truth rounds
+(:mod:`repro.truth.columnar`) against the dict oracle of
+``tests/truth_oracle.py``, with DEPEN's in-round restricted
 re-scoring.
 
 Headline speedups are recorded through the ``bench_record`` fixture and
@@ -37,6 +38,7 @@ from repro.core.dataset import ClaimDataset, MutationBatch
 from repro.core.params import DependenceParams, IterationParams
 from repro.dependence.bayes import (
     PairDependence,
+    collect_evidence,
     pair_posterior,
     uniform_value_probabilities,
 )
@@ -48,6 +50,7 @@ from repro.generators import simple_copier_world
 from repro.truth import Depen
 from repro.truth.columnar import TruthLayout, TruthRoundEngine, dependence_matrix
 from repro.truth.vote_counting import all_discounted_vote_counts
+from truth_oracle import depen_oracle
 
 # Shared CI runners have noisy neighbours and shifting CPU frequency;
 # wall-clock ratios measured there gate with looser thresholds so the
@@ -325,56 +328,66 @@ def test_pair_sweep_round_scaling(benchmark):
 
 
 def test_round_refresh_columnar_vs_list(benchmark, bench_record):
-    """The per-round evidence path: columnar entry store vs list reference.
+    """The per-round evidence path: columnar entry store vs per-pair walk.
 
     The 50-source workload (~1225 pairs, ~235k agreement references):
     after the structural pass is amortised, every DEPEN round still pays
-    ``refresh(value_probs)`` plus evidence assembly for all pairs. Under
-    ``entry_store="list"`` that is a Python sweep over per-pair entry
-    lists; under ``"columnar"`` it is a gather plus two sequential
+    ``refresh(value_probs)`` plus evidence assembly for all pairs. The
+    reference re-walks each pair's overlap with
+    :func:`~repro.dependence.bayes.collect_evidence`, a Python loop per
+    pair; the columnar store is a gather plus two sequential
     ``bincount`` segment sums reading straight off the arrays. The
-    acceptance floor is 2x, and the two stores must produce bit-for-bit
-    identical evidence.
+    acceptance floor is 2x, and every pair's ``kt``/``kf``/``kd``/
+    ``shared_count`` must be bit-for-bit the walk's.
     """
     dataset, value_probs, _ = _pair_sweep_inputs(50, 300)
     rounds = 6
-
-    def params_for(store):
-        # The bound targets exactly this model combination at this
-        # overlap; silenced so the bench log stays about performance.
-        return DependenceParams(entry_store=store, overlap_warning_bound=None)
-
+    # The bound targets exactly this model combination at this overlap;
+    # silenced so the bench log stays about performance.
+    params = DependenceParams(overlap_warning_bound=None)
     benchmark.pedantic(
-        lambda: EvidenceCache(dataset, params=params_for("columnar")),
-        rounds=1,
-        iterations=1,
+        lambda: EvidenceCache(dataset, params=params), rounds=1, iterations=1
     )
+    cache = EvidenceCache(dataset, params=params)
+    cache.collect_all(value_probs)  # warm structural state
+    pairs = cache.pairs
 
-    def time_rounds(store):
-        cache = EvidenceCache(dataset, params=params_for(store))
-        collected = cache.collect_all(value_probs)  # warm structural state
-        best = float("inf")
+    def time_rounds(collect):
+        best, collected = float("inf"), None
         for _ in range(2):  # best-of-2: noisy-neighbour insurance
             started = time.perf_counter()
             for _ in range(rounds):
-                collected = cache.collect_all(value_probs)
+                collected = collect()
             best = min(best, time.perf_counter() - started)
         return best / rounds, collected
 
-    list_seconds, list_evidence = time_rounds("list")
-    columnar_seconds, columnar_evidence = time_rounds("columnar")
+    walk_seconds, walk_evidence = time_rounds(
+        lambda: {
+            (s1, s2): collect_evidence(dataset, s1, s2, value_probs)
+            for s1, s2 in pairs
+        }
+    )
+    columnar_seconds, columnar_evidence = time_rounds(
+        lambda: cache.collect_all(value_probs)
+    )
 
-    # The store layout is execution policy: identical evidence, bitwise.
-    assert columnar_evidence == list_evidence
+    # The store layout is never observable: identical counts, bitwise.
+    assert columnar_evidence.keys() == walk_evidence.keys()
+    for key, got in columnar_evidence.items():
+        want = walk_evidence[key]
+        assert got.kt_soft == want.kt_soft, key
+        assert got.kf_soft == want.kf_soft, key
+        assert got.kd == want.kd, key
+        assert got.shared_count == want.shared_count, key
 
-    speedup = list_seconds / columnar_seconds
+    speedup = walk_seconds / columnar_seconds
     print()
-    print("S1: per-round refresh + evidence assembly, list vs columnar store")
+    print("S1: per-round evidence, per-pair walk vs columnar store")
     print(
         render_table(
-            ["store", "pairs", "seconds/round"],
+            ["path", "pairs", "seconds/round"],
             [
-                ["list", len(list_evidence), list_seconds],
+                ["per-pair walk", len(walk_evidence), walk_seconds],
                 ["columnar", len(columnar_evidence), columnar_seconds],
                 ["speedup", "", speedup],
             ],
@@ -385,7 +398,7 @@ def test_round_refresh_columnar_vs_list(benchmark, bench_record):
         {
             "workload": "50 sources x 300 objects, per-round evidence path",
             "pairs": len(columnar_evidence),
-            "list_seconds_per_round": list_seconds,
+            "walk_seconds_per_round": walk_seconds,
             "columnar_seconds_per_round": columnar_seconds,
             "speedup": speedup,
         },
@@ -394,16 +407,17 @@ def test_round_refresh_columnar_vs_list(benchmark, bench_record):
 
 
 def test_truth_round_columnar_vs_dict(benchmark, bench_record):
-    """The iterative truth rounds: columnar array kernels vs dict path.
+    """The iterative truth rounds: columnar array kernels vs dict oracle.
 
     The 50-source workload under a full DEPEN run (6 rounds): the dict
-    path re-walks Python dicts for vote discounting, softmax decisions
-    and accuracy re-estimation every round; the columnar backend runs
-    the same four steps as array kernels over a ``ValueProbTable`` that
-    the evidence cache consumes positionally, with the pair posteriors
-    coming from the batched kernel (:mod:`repro.dependence.bayes_batch`)
-    fused into the round. Results must be bit-for-bit identical; the
-    acceptance floor is 2.5x.
+    oracle (``tests/truth_oracle.py``) re-walks Python dicts for vote
+    discounting, softmax decisions and accuracy re-estimation every
+    round and scores every pair with the scalar ``pair_posterior``;
+    ``Depen`` runs the same four steps as array kernels over a
+    ``ValueProbTable`` that the evidence cache consumes positionally,
+    with the pair posteriors coming from the batched kernel
+    (:mod:`repro.dependence.bayes_batch`) fused into the round. Results
+    must be bit-for-bit identical; the acceptance floor is 2.5x.
 
     A second, longer run with a drift tolerance demonstrates the
     restricted in-round pair re-scoring: once the iteration settles,
@@ -413,51 +427,40 @@ def test_truth_round_columnar_vs_dict(benchmark, bench_record):
     """
     dataset, _, _ = _pair_sweep_inputs(50, 300)
     rounds = 6
-
-    def params_for(backend):
-        # The dict arm is the full pre-optimisation reference: dict
-        # truth rounds *and* the scalar per-pair posterior loop. The
-        # columnar arm gets the batched posterior kernel (the auto
-        # default on a columnar entry store).
-        return DependenceParams(
-            truth_backend=backend,
-            posterior_backend="scalar" if backend == "dict" else "auto",
-            overlap_warning_bound=None,
-        )
-
+    params = DependenceParams(overlap_warning_bound=None)
     it = IterationParams(max_rounds=rounds)
     benchmark.pedantic(
-        lambda: Depen(
-            params_for("columnar"), IterationParams(max_rounds=1)
-        ).discover(dataset),
+        lambda: Depen(params, IterationParams(max_rounds=1)).discover(dataset),
         rounds=1,
         iterations=1,
     )
 
-    def run(backend):
+    def run(discover):
         best, result = float("inf"), None
         for _ in range(2):  # best-of-2: noisy-neighbour insurance
             started = time.perf_counter()
-            result = Depen(params_for(backend), it).discover(dataset)
+            result = discover()
             best = min(best, time.perf_counter() - started)
         return best, result
 
-    dict_seconds, dict_result = run("dict")
-    columnar_seconds, columnar_result = run("columnar")
+    dict_seconds, dict_result = run(lambda: depen_oracle(dataset, params, it))
+    columnar_seconds, columnar_result = run(
+        lambda: Depen(params, it).discover(dataset)
+    )
 
-    # The backend is execution policy: identical results, bitwise.
+    # The kernels are a pure optimisation: identical results, bitwise.
     assert columnar_result.decisions == dict_result.decisions
     assert columnar_result.distributions == dict_result.distributions
     assert columnar_result.accuracies == dict_result.accuracies
 
     speedup = dict_seconds / columnar_seconds
     print()
-    print("S1: full DEPEN truth rounds, dict path vs columnar kernels")
+    print("S1: full DEPEN truth rounds, dict oracle vs columnar kernels")
     print(
         render_table(
-            ["backend", "rounds", "seconds"],
+            ["path", "rounds", "seconds"],
             [
-                ["dict", rounds, dict_seconds],
+                ["dict oracle", rounds, dict_seconds],
                 ["columnar", rounds, columnar_seconds],
                 ["speedup", "", speedup],
             ],
@@ -470,7 +473,7 @@ def test_truth_round_columnar_vs_dict(benchmark, bench_record):
     it_tol = IterationParams(
         max_rounds=12, accuracy_tolerance=1e-6, rescore_tolerance=1e-4
     )
-    tol_result = Depen(params_for("columnar"), it_tol).discover(dataset)
+    tol_result = Depen(params, it_tol).discover(dataset)
     rescored = sum(t.pairs_rescored for t in tol_result.trace)
     reused = sum(t.pairs_reused for t in tol_result.trace)
     restricted_rounds = sum(1 for t in tol_result.trace if t.pairs_reused)

@@ -26,6 +26,14 @@ import pytest
 from repro.generators import generate_bookstore_catalog
 from repro.linkage import author_list_similarity, canonicalisation_map
 
+# Benches time the test suite's reference oracles (``tests/truth_oracle.py``)
+# as their slow arms; appended so nothing in ``tests/`` shadows a module here.
+_TESTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"
+)
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
+
 _RECORDS: dict[str, dict] = {}
 
 

@@ -39,14 +39,11 @@ The package is organised by the paper's structure:
 
 The stable entry point is :class:`Session` — one object owning the
 ingest → discover → run_truth → publish → query/recommend lifecycle,
-with execution policy (``truth_backend``, ``posterior_backend``,
-``parallel_backend``, ``entry_store``, …) accepted once at
-construction. The layer modules stay importable for direct use; the
-top-level convenience aliases that encouraged hand-stitching the
-pipeline are deprecated in favour of the session.
+with execution policy (``parallel_backend``, ``num_workers``,
+``pool``, …) accepted once at construction. The layer modules stay
+importable for direct use (for example
+``repro.dependence.discover_dependence``).
 """
-
-import warnings
 
 from repro.core import (
     ABSENT,
@@ -88,7 +85,6 @@ __all__ = [
     "DependenceGraph",
     "DependenceKind",
     "DependenceParams",
-    "IngestDelta",
     "IterationParams",
     "Mutation",
     "MutationBatch",
@@ -111,42 +107,4 @@ __all__ = [
     "TruthResult",
     "World",
     "__version__",
-    "discover_dependence",
 ]
-
-#: Deprecated top-level aliases, served lazily with a warning. The
-#: functions themselves are not deprecated — import them from their
-#: layer module (``repro.dependence``) or, better, use the
-#: :class:`Session` lifecycle that wires the layers correctly.
-_DEPRECATED_ALIASES = {
-    "discover_dependence": (
-        "repro.dependence",
-        "discover_dependence",
-        "Session.discover() (or repro.dependence.discover_dependence)",
-    ),
-    # Pre-mutation-algebra name of the ingest return type: every ingest
-    # is now one (possibly mixed) MutationBatch, so the delta it reports
-    # is a MutationDelta. The old name stays importable from
-    # repro.core.dataset without a warning for pinned code.
-    "IngestDelta": (
-        "repro.core.dataset",
-        "IngestDelta",
-        "MutationDelta (the same type under its mutation-algebra name)",
-    ),
-}
-
-
-def __getattr__(name: str):
-    alias = _DEPRECATED_ALIASES.get(name)
-    if alias is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr, replacement = alias
-    warnings.warn(
-        f"repro.{name} is deprecated as a top-level alias; use "
-        f"{replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)

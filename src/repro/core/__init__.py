@@ -9,7 +9,6 @@ from repro.core.claims import Claim, Rating, TemporalClaim, ValuePeriod
 from repro.core.dataset import (
     ABSENT,
     ClaimDataset,
-    IngestDelta,
     Mutation,
     MutationBatch,
     MutationDelta,
@@ -36,7 +35,6 @@ __all__ = [
     "DependenceEdge",
     "DependenceKind",
     "DependenceParams",
-    "IngestDelta",
     "IterationParams",
     "Mutation",
     "MutationBatch",

@@ -140,8 +140,7 @@ class MutationDelta:
     ``added``/``retracted``/``corrected`` count the mutations applied
     (``duplicates`` re-asserted an identical existing claim and were
     no-ops), touching ``dirty_objects``; ``version`` is the dataset
-    version after the batch. For add-only batches this is exactly the
-    historical ``IngestDelta`` shape (which remains as an alias).
+    version after the batch.
     """
 
     added: int
@@ -153,12 +152,6 @@ class MutationDelta:
 
     def __bool__(self) -> bool:
         return (self.added + self.retracted + self.corrected) > 0
-
-
-#: Backwards-compatible name: add-only deltas predate the mutation
-#: algebra. Same class — ``isinstance`` checks and field access keep
-#: working.
-IngestDelta = MutationDelta
 
 
 class ClaimDataset:

@@ -46,10 +46,7 @@ ENV_OVERRIDES: tuple[tuple[str, str], ...] = (
     ("parallel_backend", "REPRO_PARALLEL_BACKEND"),
     ("num_workers", "REPRO_NUM_WORKERS"),
     ("shard_size", "REPRO_SHARD_SIZE"),
-    ("entry_store", "REPRO_ENTRY_STORE"),
     ("pool", "REPRO_POOL"),
-    ("truth_backend", "REPRO_TRUTH_BACKEND"),
-    ("posterior_backend", "REPRO_POSTERIOR_BACKEND"),
     ("max_retries", "REPRO_MAX_RETRIES"),
     ("task_deadline", "REPRO_TASK_DEADLINE"),
 )
@@ -64,17 +61,6 @@ _FLOAT_ENV_FIELDS = ("task_deadline",)
 TEMPORAL_ENV_OVERRIDES: tuple[tuple[str, str], ...] = (
     ("evidence_decay", "REPRO_EVIDENCE_DECAY"),
 )
-
-#: Recognised ``truth_backend`` settings — the single source of truth
-#: for every entry point that validates one (this class,
-#: :class:`repro.truth.accu.Accu`,
-#: :func:`repro.truth.columnar.resolve_truth_backend`).
-TRUTH_BACKENDS = ("auto", "columnar", "dict")
-
-#: Recognised ``posterior_backend`` settings — the single source of
-#: truth for this class and
-#: :func:`repro.dependence.bayes_batch.resolve_posterior_backend`.
-POSTERIOR_BACKENDS = ("auto", "batch", "scalar")
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,14 +112,6 @@ class DependenceParams:
     objects per shard; ``None`` derives a balanced size from
     ``num_workers``.
 
-    ``entry_store`` selects how the evidence engine stores per-pair
-    agreement structure — also pure execution policy, bit-for-bit
-    invariant. ``"columnar"`` keeps the deduplicated entries and every
-    pair's agreement segment in flat numpy arrays, so the per-round
-    soft refresh and evidence assembly run as vectorised gathers and
-    segment sums; ``"list"`` is the pure-Python reference layout (one
-    Python list per pair); ``"auto"`` (the default) picks columnar.
-
     ``pool`` controls worker lifetime under ``parallel_backend=
     "process"``: ``"ephemeral"`` (the default) forks a fresh pool per
     structural build and tears it down after; ``"persistent"`` keeps
@@ -174,28 +152,6 @@ class DependenceParams:
     ``evidence_form="marginal"`` and the ``exact`` reference mode,
     which already avoid the hazard.
 
-    ``truth_backend`` selects how the *iterative truth rounds* (vote
-    counting, softmax decisions, accuracy re-estimation) are executed
-    by :class:`~repro.truth.depen.Depen` and
-    :class:`~repro.truth.accu.Accu` — pure execution policy, bit-for-bit
-    invariant. ``"columnar"`` runs the rounds as array kernels over a
-    :class:`~repro.truth.columnar.ValueProbTable` (and lets the
-    evidence engine's per-round refresh read truth probabilities
-    positionally instead of probing dicts); ``"dict"`` is the
-    pure-Python reference loop; ``"auto"`` (the default) picks columnar.
-
-    ``posterior_backend`` selects how *pair posteriors* are computed
-    when many pairs are scored at once (``discover_dependence``,
-    streaming restricted re-scoring, DEPEN's in-round re-scoring) —
-    pure execution policy, bit-for-bit invariant. ``"batch"`` runs the
-    three-hypothesis Bayes posterior for every selected pair in one
-    vectorised pass over the columnar evidence layout
-    (:class:`~repro.dependence.bayes_batch.BatchedPosteriorEngine`;
-    requires ``entry_store="columnar"``); ``"scalar"`` is the
-    per-pair reference loop over
-    :func:`~repro.dependence.bayes.pair_posterior`; ``"auto"`` (the
-    default) picks batch whenever the evidence cache is columnar.
-
     ``max_retries`` / ``task_deadline`` / ``degrade_on_failure``
     configure the supervised execution layer
     (:class:`~repro.exec.supervisor.SupervisedExecutor`) that wraps
@@ -210,12 +166,9 @@ class DependenceParams:
 
     Execution-policy fields honour environment overrides
     (:data:`ENV_OVERRIDES`): ``REPRO_PARALLEL_BACKEND``,
-    ``REPRO_NUM_WORKERS``, ``REPRO_SHARD_SIZE``, ``REPRO_ENTRY_STORE``,
-    ``REPRO_POOL``, ``REPRO_TRUTH_BACKEND``,
-    ``REPRO_POSTERIOR_BACKEND``, ``REPRO_MAX_RETRIES`` and
-    ``REPRO_TASK_DEADLINE`` replace the matching
-    field when it holds its
-    default value — so CI can exercise a whole test suite under the
+    ``REPRO_NUM_WORKERS``, ``REPRO_SHARD_SIZE``, ``REPRO_POOL``,
+    ``REPRO_MAX_RETRIES`` and ``REPRO_TASK_DEADLINE`` replace the
+    matching field when it holds its default value — so CI can exercise a whole test suite under the
     process pool without touching any call site. Explicit *non-default*
     arguments always win; an argument explicitly passed as the default
     cannot be told apart from an omitted one (see
@@ -231,12 +184,9 @@ class DependenceParams:
     parallel_backend: str = "serial"
     num_workers: int = 1
     shard_size: int | None = None
-    entry_store: str = "auto"
     pool: str = "ephemeral"
     overlap_warning_bound: int | None = 128
     overlap_policy: str = "warn"
-    truth_backend: str = "auto"
-    posterior_backend: str = "auto"
     max_retries: int = 2
     task_deadline: float | None = None
     degrade_on_failure: bool = True
@@ -314,11 +264,6 @@ class DependenceParams:
             raise ParameterError(
                 f"shard_size must be >= 1 or None, got {self.shard_size}"
             )
-        if self.entry_store not in ("auto", "columnar", "list"):
-            raise ParameterError(
-                "entry_store must be 'auto', 'columnar' or 'list', got "
-                f"{self.entry_store!r}"
-            )
         if self.pool not in ("ephemeral", "persistent"):
             raise ParameterError(
                 "pool must be 'ephemeral' or 'persistent', got "
@@ -341,16 +286,6 @@ class DependenceParams:
             raise ParameterError(
                 "overlap_policy='auto' needs an overlap_warning_bound to "
                 "act on; set a bound or use overlap_policy='ignore'"
-            )
-        if self.truth_backend not in TRUTH_BACKENDS:
-            raise ParameterError(
-                "truth_backend must be 'auto', 'columnar' or 'dict', got "
-                f"{self.truth_backend!r}"
-            )
-        if self.posterior_backend not in POSTERIOR_BACKENDS:
-            raise ParameterError(
-                "posterior_backend must be 'auto', 'batch' or 'scalar', got "
-                f"{self.posterior_backend!r}"
             )
         if self.max_retries < 0:
             raise ParameterError(
@@ -381,16 +316,17 @@ class IterationParams:
     """Convergence controls for iterative (truth, accuracy, dependence) loops.
 
     ``rescore_tolerance`` controls DEPEN's restricted pair re-scoring
-    inside its own iterative rounds (columnar truth backend only): a
+    inside its own iterative rounds: a
     pair's posterior is reused from the previous round when every truth
     probability it depends on — its shared entries' and its endpoints'
     clamped accuracies — has drifted at most this much since the last
     round *that pair* was scored (drift accumulates against each pair's
-    own baseline, recorded as a per-slot round stamp in the columnar
+    own baseline, recorded as a per-slot round stamp in the
     entry store, so reuse chains never compound past the bound and a
     pair's baseline resets exactly when it is re-scored). The 0.0
     default is *exact*: only bitwise unchanged inputs are reused, so
-    results stay bit-for-bit equal to the dict path. A small positive
+    results stay bit-for-bit equal to re-scoring every pair each round
+    (the reference loop in ``tests/truth_oracle.py``). A small positive
     tolerance (e.g. ``1e-9``) lets the tail rounds of a settling
     iteration skip most posterior recomputation at a bounded,
     documented approximation.

@@ -8,10 +8,7 @@ from repro.dependence.bayes import (
     pair_posterior,
     uniform_value_probabilities,
 )
-from repro.dependence.bayes_batch import (
-    BatchedPosteriorEngine,
-    resolve_posterior_backend,
-)
+from repro.dependence.bayes_batch import BatchedPosteriorEngine
 from repro.dependence.collector import (
     PairSlotCollector,
     ProviderCap,
@@ -34,7 +31,6 @@ from repro.dependence.partial import (
     direction_evidence,
 )
 from repro.dependence.sharding import (
-    ParallelSweepExecutor,
     ShardPlan,
     ShardPlanner,
     SweepConfig,
@@ -60,7 +56,6 @@ __all__ = [
     "PairDependence",
     "PairEvidence",
     "PairSlotCollector",
-    "ParallelSweepExecutor",
     "ProviderCap",
     "ShardPlan",
     "ShardPlanner",
@@ -79,7 +74,6 @@ __all__ = [
     "independent_core",
     "pair_key",
     "pair_posterior",
-    "resolve_posterior_backend",
     "temporal_pair_posterior",
     "uniform_value_probabilities",
 ]

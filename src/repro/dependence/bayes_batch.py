@@ -33,13 +33,14 @@ whole repo's optimisation discipline), achieved by the conventions of
   association, and the ``_TINY`` floors and the 0.95 popularity clamp
   are applied at the same points.
 
-Parity holds between the two paths on one machine. The last ulps of a
-posterior may differ across CPUs (numpy picks its SIMD ``log``/``exp``
-loop by CPU feature), as they already could across libm versions.
+Parity holds between the kernel and the scalar reference on one
+machine; the test suite pins it with a ``pair_posterior`` loop over
+``EvidenceCache.evidence``. The last ulps of a posterior may differ
+across CPUs (numpy picks its SIMD ``log``/``exp`` loop by CPU feature),
+as they already could across libm versions.
 
-The engine is selected through ``DependenceParams.posterior_backend``
-(``auto`` | ``batch`` | ``scalar``, env ``REPRO_POSTERIOR_BACKEND``);
-``scalar`` keeps every call site on the reference loop.
+This kernel is the only production posterior path: ``discover_dependence``,
+streaming restricted re-scoring and DEPEN's rounds all score through it.
 """
 
 from __future__ import annotations
@@ -49,38 +50,9 @@ import math
 import numpy as np
 
 from repro.core import fmath
-from repro.core.params import POSTERIOR_BACKENDS, DependenceParams
+from repro.core.params import DependenceParams
 from repro.dependence.bayes import _TINY, PairDependence
-from repro.exceptions import DataError, ParameterError
-
-#: Environment variable consulted by ``DependenceParams`` for the
-#: default-valued ``posterior_backend`` field.
-POSTERIOR_BACKEND_ENV = "REPRO_POSTERIOR_BACKEND"
-
-
-def resolve_posterior_backend(setting: str, cache) -> str:
-    """Resolve ``auto|batch|scalar`` against a concrete evidence cache.
-
-    ``auto`` picks ``batch`` exactly when it can run: when the cache's
-    entry store is columnar. An explicit ``batch`` on a cache that
-    cannot support it is a :class:`ParameterError` — the caller asked
-    for something impossible and silence would mislead.
-    """
-    if setting not in POSTERIOR_BACKENDS:
-        raise ParameterError(
-            "posterior_backend must be 'auto', 'batch' or 'scalar', got "
-            f"{setting!r}"
-        )
-    columnar = cache is not None and cache.entry_store == "columnar"
-    if setting == "auto":
-        return "batch" if columnar else "scalar"
-    if setting == "batch" and not columnar:
-        raise ParameterError(
-            "posterior_backend='batch' reads the columnar evidence "
-            "layout; build the cache with entry_store='columnar' or "
-            "use posterior_backend='scalar'"
-        )
-    return setting
+from repro.exceptions import DataError
 
 
 class BatchedPosteriorEngine:
@@ -104,12 +76,6 @@ class BatchedPosteriorEngine:
     """
 
     def __init__(self, cache, params: DependenceParams) -> None:
-        if cache.entry_store != "columnar":
-            raise ParameterError(
-                "posterior_backend='batch' reads the columnar evidence "
-                "layout; build the cache with entry_store='columnar' or "
-                "use posterior_backend='scalar'"
-            )
         cache.check_compatible(params)
         self._cache = cache
         self._params = params

@@ -3,8 +3,7 @@
 Two containers live here:
 
 :class:`ColumnarAgreeStore` — the numpy entry store behind
-:class:`~repro.dependence.evidence.EvidenceCache`'s ``"columnar"``
-layout. Every candidate pair's agreement list (entry ids, in sorted
+:class:`~repro.dependence.evidence.EvidenceCache`. Every candidate pair's agreement list (entry ids, in sorted
 object order) is one *segment* of a single flat ``int64`` array, with a
 parallel array mapping each cell to its pair's *slot id*. The per-round
 hot path then collapses to array ops: gather the entries' current truth

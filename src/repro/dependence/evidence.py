@@ -38,23 +38,21 @@ resulting per-entry popularity.
 Columnar entry store
 --------------------
 
-``params.entry_store`` selects the physical layout of the agreement
-structure. Under ``"columnar"`` (the ``"auto"`` default) every pair's
-agreement list is a *segment* of one flat ``int64`` array managed by
-:class:`~repro.dependence.entrystore.ColumnarAgreeStore`, and the
-per-round path runs as array ops: :meth:`refresh` gathers the entries'
-probabilities and computes every pair's ``kt``/``kf`` with two
+Every pair's agreement list is a *segment* of one flat ``int64`` array
+managed by :class:`~repro.dependence.entrystore.ColumnarAgreeStore`,
+and the per-round path runs as array ops: :meth:`refresh` gathers the
+entries' probabilities and computes every pair's ``kt``/``kf`` with two
 sequential ``bincount`` segment sums, and :meth:`collect_all` reads the
 evidence straight off the arrays. ``np.bincount`` accumulates weights
 in input order, so the sums are **bit-for-bit identical** to the
-``"list"`` reference layout's Python loops — layout is execution
-policy, never observable in results. Incremental repair
-(:meth:`sync`) patches the arrays in place: within-segment shifts while
-a segment has slack, relocation-plus-tombstone when it must grow, and a
-compaction pass once dead cells outnumber live ones. The sharded build
-backends emit the columnar store directly — shard record blocks
-concatenate into the arrays without ever materialising per-pair Python
-lists.
+per-pair reference walk (:func:`~repro.dependence.bayes.collect_evidence`,
+which the equivalence tests compare against pair by pair). Incremental
+repair (:meth:`sync`) patches the arrays in place: within-segment
+shifts while a segment has slack, relocation-plus-tombstone when it
+must grow, and a compaction pass once dead cells outnumber live ones.
+The sharded build backends emit the store directly — shard record
+blocks concatenate into the arrays without ever materialising per-pair
+Python lists.
 
 Incremental maintenance under mutation
 --------------------------------------
@@ -66,13 +64,13 @@ and :meth:`EvidenceCache.sync` repairs exactly the structure the dirty
 objects touch:
 
 * for add-only deltas the pair slots gain the dirty objects' new
-  agreement/``kd`` contributions (agreement lists keep sorted-object
+  agreement/``kd`` contributions (agreement segments keep sorted-object
   order via bisection, so the soft sums still accumulate in
   cold-rebuild order);
 * for retractions and corrections the delta carries each touched
   source's *old* value, so the sync applies the **inverse delta**: the
   object's previously collected contributions are retired — agreement
-  entries removed (tombstoned in the columnar store), ``kd`` counts
+  entries removed (tombstoned in the store), ``kd`` counts
   decremented, entry refs released — and the current state is
   re-collected from scratch for that object;
 * per-pair overlap counts are maintained both ways: a pair crossing the
@@ -114,7 +112,7 @@ bit (same accumulation order — both walk objects sorted).
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
@@ -132,22 +130,19 @@ _EMPTY_PROBS: dict[Value, float] = {}
 
 
 class _PairSlot:
-    """Static structure of one candidate pair: agreement entries + kd.
+    """Static structure of one candidate pair: agreement segment + kd.
 
-    Under the ``"list"`` entry store ``agree`` holds the entry ids
-    directly; under ``"columnar"`` the ids live in the shared
-    :class:`~repro.dependence.entrystore.ColumnarAgreeStore` and the
-    slot carries its segment geometry (``sid``/``start``/``length``/
-    ``cap``, managed by the store) with ``agree`` set to ``None`` once
-    packed.
+    The agreement entry ids live in the shared
+    :class:`~repro.dependence.entrystore.ColumnarAgreeStore`; the slot
+    carries its segment geometry (``sid``/``start``/``length``/``cap``,
+    managed by the store).
     """
 
-    __slots__ = ("s1", "s2", "agree", "kd", "sid", "start", "length", "cap")
+    __slots__ = ("s1", "s2", "kd", "sid", "start", "length", "cap")
 
     def __init__(self, s1: SourceId, s2: SourceId) -> None:
         self.s1 = s1
         self.s2 = s2
-        self.agree: list[int] | None = []  # entry ids, sorted-object order
         self.kd = 0
         self.sid = -1
         self.start = 0
@@ -256,7 +251,6 @@ class EvidenceCache:
             params.task_deadline,
             params.degrade_on_failure,
         )
-        self._columnar = params.entry_store in ("auto", "columnar")
         self._persistent_pool = params.pool == "persistent"
         # Executor ownership is explicit: a caller-supplied executor is
         # borrowed (close() leaves it alive); an internally created one
@@ -343,9 +337,7 @@ class EvidenceCache:
         )
         self._plan = None
         self._last_sync_routing: dict[int, int] = {}
-        self._store: ColumnarAgreeStore | None = (
-            ColumnarAgreeStore() if self._columnar else None
-        )
+        self._store = ColumnarAgreeStore()
         self._kt: list[float] = []
         self._kf: list[float] = []
         self._kt_arr = None
@@ -371,15 +363,6 @@ class EvidenceCache:
         self._overlap_mark: tuple[int, PairKey | None] = (0, None)
         if self._backend == "serial":
             self._build_serial()
-            if self._store is not None:
-                # The object-major sweep necessarily scatters across
-                # slots; pack its per-slot lists into the flat store
-                # once, then drop them.
-                self._store.pack(
-                    (slot, slot.agree) for slot in self._slots.values()
-                )
-                for slot in self._slots.values():
-                    slot.agree = None
         elif warm:
             self._plan = prev_plan
             self._build_resident_warm(prev_truncated)
@@ -428,21 +411,24 @@ class EvidenceCache:
             ):
                 self._slots[key] = _PairSlot(*key)
 
-        slots = self._slots
+        # The object-major sweep necessarily scatters across slots: it
+        # collects per-slot entry lists, packed into the flat store once.
+        cells = {key: (slot, []) for key, slot in self._slots.items()}
         for obj, kept, providers in scan:
             for i, s1 in enumerate(kept):
                 v1 = providers[s1].value
                 for s2 in kept[i + 1 :]:
-                    slot = slots.get((s1, s2))
-                    if slot is None:
+                    cell = cells.get((s1, s2))
+                    if cell is None:
                         continue
                     v2 = providers[s2].value
                     if v2 != v1:
-                        slot.kd += 1
+                        cell[0].kd += 1
                         continue
                     eid = self._entry_for(obj, v1)
-                    slot.agree.append(eid)  # objects swept sorted: in order
+                    cell[1].append(eid)  # objects swept sorted: in order
                     self._entry_refs[eid] += 1
+        self._store.pack(cells.values())
 
     def _build_sharded(self) -> None:
         """Sharded structural pass (``"numpy"`` / ``"process"`` backends).
@@ -698,43 +684,33 @@ class EvidenceCache:
         agree_counts = np.bincount(agree_pair, minlength=n_selected)
         bounds = np.zeros(n_selected + 1, dtype=np.int64)
         np.cumsum(agree_counts, out=bounds[1:])
-        if self._store is not None:
-            # Columnar adoption: the canonicalised record arrays already
-            # *are* the store layout — segment-contiguous, object-sorted
-            # — so the merge hands them over wholesale instead of
-            # rebuilding per-slot Python lists. Slot ids follow registry
-            # order (fixed candidate pairs may include pairs the sweep
-            # never saw; they get empty segments).
-            for sid, slot in enumerate(self._slots.values()):
-                slot.agree = None
-                slot.sid = sid
-            selected_slots = [
-                self._slots[(sources[u // n_sources], sources[u % n_sources])]
-                for u in selected_ids.tolist()
-            ]
-            starts = bounds.tolist()
-            lengths = agree_counts.tolist()
-            for i, slot in enumerate(selected_slots):
-                slot.kd = int(kd_counts[i])
-                slot.start = starts[i]
-                slot.length = lengths[i]
-                slot.cap = lengths[i]
-            if selected_slots:
-                sid_of_selected = np.asarray(
-                    [slot.sid for slot in selected_slots], dtype=np.int64
-                )
-                record_sids = sid_of_selected[agree_pair]
-            else:
-                record_sids = np.empty(0, dtype=np.int64)
-            self._store.adopt(inverse, record_sids, len(self._slots))
+        # Store adoption: the canonicalised record arrays already
+        # *are* the store layout — segment-contiguous, object-sorted
+        # — so the merge hands them over wholesale instead of
+        # rebuilding per-slot Python lists. Slot ids follow registry
+        # order (fixed candidate pairs may include pairs the sweep
+        # never saw; they get empty segments).
+        for sid, slot in enumerate(self._slots.values()):
+            slot.sid = sid
+        selected_slots = [
+            self._slots[(sources[u // n_sources], sources[u % n_sources])]
+            for u in selected_ids.tolist()
+        ]
+        starts = bounds.tolist()
+        lengths = agree_counts.tolist()
+        for i, slot in enumerate(selected_slots):
+            slot.kd = int(kd_counts[i])
+            slot.start = starts[i]
+            slot.length = lengths[i]
+            slot.cap = lengths[i]
+        if selected_slots:
+            sid_of_selected = np.asarray(
+                [slot.sid for slot in selected_slots], dtype=np.int64
+            )
+            record_sids = sid_of_selected[agree_pair]
         else:
-            eids = inverse.tolist()
-            for i, u in enumerate(selected_ids.tolist()):
-                slot = self._slots[
-                    (sources[u // n_sources], sources[u % n_sources])
-                ]
-                slot.kd = int(kd_counts[i])
-                slot.agree = eids[bounds[i] : bounds[i + 1]]
+            record_sids = np.empty(0, dtype=np.int64)
+        self._store.adopt(inverse, record_sids, len(self._slots))
 
     # ------------------------------------------------------------------
     # resident execution (worker-held shard state)
@@ -1057,13 +1033,12 @@ class EvidenceCache:
             self._apply_object_delta(obj, delta[obj], backfilled)
         if self._resident:
             self._resident_sync_ship(delta, dirty_sorted)
-        if self._store is not None:
-            # Tombstones from removals/retirements accumulate across
-            # syncs; reclaim once they outnumber the live cells. The
-            # compaction renumbers slot ids, which is safe exactly here:
-            # the delta already invalidated the per-sid sums (refresh is
-            # mandatory before the next evidence read).
-            self._store.maybe_compact(self._slots.values())
+        # Tombstones from removals/retirements accumulate across syncs;
+        # reclaim once they outnumber the live cells. The compaction
+        # renumbers slot ids, which is safe exactly here: the delta
+        # already invalidated the per-sid sums (refresh is mandatory
+        # before the next evidence read).
+        self._store.maybe_compact(self._slots.values())
         self._warn_overlap_calibration()
         return set(delta)
 
@@ -1236,12 +1211,7 @@ class EvidenceCache:
             slot.kd += 1
         else:
             eid = self._entry_for(obj, v1)
-            if self._store is None:
-                insort(slot.agree, eid, key=self._entry_obj.__getitem__)
-            else:
-                self._store.insert(
-                    slot, self._segment_bisect(slot, obj), eid
-                )
+            self._store.insert(slot, self._segment_bisect(slot, obj), eid)
             self._entry_refs[eid] += 1
         if self._overlap_armed:
             self._note_overlap(slot)
@@ -1300,12 +1270,9 @@ class EvidenceCache:
                         slot.kd -= 1
                     else:
                         eid = self._groups[obj][v1]
-                        if self._store is None:
-                            slot.agree.remove(eid)
-                        else:
-                            self._store.remove(
-                                slot, self._segment_bisect(slot, obj)
-                            )
+                        self._store.remove(
+                            slot, self._segment_bisect(slot, obj)
+                        )
                         self._release_entry(eid)
                 if (
                     counts is not None
@@ -1317,13 +1284,9 @@ class EvidenceCache:
         """Retire a pair that fell below the overlap threshold."""
         slot = self._slots.pop(key)
         self._dirty_pairs.add(key)
-        if self._store is None:
-            for eid in slot.agree:
-                self._release_entry(eid)
-        else:
-            for eid in self._store.segment(slot).tolist():
-                self._release_entry(eid)
-            self._store.release(slot)
+        for eid in self._store.segment(slot).tolist():
+            self._release_entry(eid)
+        self._store.release(slot)
 
     def _backfill_pair(self, key: PairKey) -> None:
         """Collect a newly eligible pair's full structure from scratch.
@@ -1336,7 +1299,7 @@ class EvidenceCache:
         dataset = self._dataset
         self._dirty_pairs.add(key)
         slot = _PairSlot(s1, s2)
-        agree = slot.agree
+        agree: list[int] = []
         claims1 = dataset.claims_by_view(s1)
         claims2 = dataset.claims_by_view(s2)
         smaller = claims1 if len(claims1) <= len(claims2) else claims2
@@ -1356,10 +1319,8 @@ class EvidenceCache:
             eid = self._entry_for(obj, v1)
             agree.append(eid)  # objects walked sorted: order holds
             self._entry_refs[eid] += 1
-        if self._store is not None:
-            self._store.new_sid(slot)
-            self._store.append_segment(slot, agree)
-            slot.agree = None
+        self._store.new_sid(slot)
+        self._store.append_segment(slot, agree)
         self._slots[key] = slot
         if self._overlap_armed:
             self._note_overlap(slot)
@@ -1385,13 +1346,13 @@ class EvidenceCache:
         as segment sums over the table's own arrays, in the dict walk's
         accumulation order, so the results stay bit-for-bit identical.
 
-        With the columnar store the dict-input entry sweep only *probes*
-        the new probabilities (dict lookups are irreducible while
-        ``value_probs`` is a nested dict); everything downstream — the
-        per-slot ``kt``/``kf`` sums over every agreement reference,
-        previously the dominant per-round Python loop — happens here as
-        one gather plus two sequential ``bincount`` segment sums,
-        bit-for-bit identical to the list walk.
+        The dict-input entry sweep only *probes* the new probabilities
+        (dict lookups are irreducible while ``value_probs`` is a nested
+        dict); everything downstream — the per-slot ``kt``/``kf`` sums
+        over every agreement reference — happens here as one gather plus
+        two sequential ``bincount`` segment sums, bit-for-bit identical
+        to the per-pair :func:`~repro.dependence.bayes.collect_evidence`
+        walk.
         """
         self.sync()
         self._refreshed = True
@@ -1404,7 +1365,7 @@ class EvidenceCache:
                 obj_probs = value_probs.get(obj, _EMPTY_PROBS)
                 for value, eid in entries.items():
                     p[eid] = obj_probs.get(value, 0.0)
-            self._refresh_columnar()
+            self._refresh_sums()
             return
         pop = self._pop
         entry_m = self._entry_m
@@ -1421,15 +1382,12 @@ class EvidenceCache:
                     pop[eid] = min(1.0, (entry_m[eid] - 1) / (k_false - 1.0))
                 else:
                     pop[eid] = 1.0
-        self._refresh_columnar()
+        self._refresh_sums()
 
-    def _refresh_columnar(self) -> None:
+    def _refresh_sums(self) -> None:
         """Derive the per-slot soft sums from the refreshed entries."""
-        store = self._store
-        if store is None:
-            return
         self._p_arr = np.asarray(self._p, dtype=np.float64)
-        self._kt_arr, self._kf_arr = store.sums(self._p_arr)
+        self._kt_arr, self._kf_arr = self._store.sums(self._p_arr)
         # Scalar consumers (collect_all's positional fast path, the
         # per-pair _build) read Python floats; tolist keeps their types
         # — and therefore their arithmetic — exactly as before.
@@ -1485,16 +1443,11 @@ class EvidenceCache:
                     np.minimum(1.0, (m - 1.0) / (kf_entries - 1.0)),
                     1.0,
                 )
-        if self._store is not None:
-            self._p_arr = p_arr
-            self._kt_arr, self._kf_arr = self._store.sums(p_arr)
-            self._kt = self._kt_arr.tolist()
-            self._kf = self._kf_arr.tolist()
-            self._pop_arr = pop_arr
-        else:
-            self._p = p_arr.tolist()
-            if pop_arr is not None:
-                self._pop = pop_arr.tolist()
+        self._p_arr = p_arr
+        self._kt_arr, self._kf_arr = self._store.sums(p_arr)
+        self._kt = self._kt_arr.tolist()
+        self._kf = self._kf_arr.tolist()
+        self._pop_arr = pop_arr
 
     def _table_gather(self, table):
         """The entry-id -> table-slot index, rebuilt only when stale.
@@ -1549,27 +1502,20 @@ class EvidenceCache:
         structural state).
         """
         entry_mask = self.moved_entry_mask(moved)
-        if self._store is not None:
-            # The sid -> key reverse map shares the gather's staleness
-            # exactly (both die with the entry epoch / structural
-            # state), so it is cached on the same key rather than
-            # rebuilt O(pairs) per round.
-            if self._sid_to_key_key != self._gather_key:
-                self._sid_to_key = {
-                    slot.sid: key for key, slot in self._slots.items()
-                }
-                self._sid_to_key_key = self._gather_key
-            sid_to_key = self._sid_to_key
-            return {
-                sid_to_key[sid]
-                for sid in self._store.flagged_sids(entry_mask).tolist()
-                if sid in sid_to_key
+        # The sid -> key reverse map shares the gather's staleness
+        # exactly (both die with the entry epoch / structural state), so
+        # it is cached on the same key rather than rebuilt O(pairs) per
+        # round.
+        if self._sid_to_key_key != self._gather_key:
+            self._sid_to_key = {
+                slot.sid: key for key, slot in self._slots.items()
             }
-        flags = entry_mask.tolist()
+            self._sid_to_key_key = self._gather_key
+        sid_to_key = self._sid_to_key
         return {
-            key
-            for key, slot in self._slots.items()
-            if any(flags[eid] for eid in slot.agree)
+            sid_to_key[sid]
+            for sid in self._store.flagged_sids(entry_mask).tolist()
+            if sid in sid_to_key
         }
 
     def moved_entry_mask(self, moved):
@@ -1601,7 +1547,7 @@ class EvidenceCache:
     def posterior_engine(self, params: DependenceParams):
         """The memoized batched posterior engine for this cache.
 
-        Columnar store only. One engine per distinct ``params`` — the
+        One engine per distinct ``params`` — the
         engine caches position-indexed static arrays keyed on the
         structural epoch, so reuse across rounds (and across
         ``sync()``/``build()`` calls) is safe and cheap.
@@ -1618,48 +1564,18 @@ class EvidenceCache:
     # per-pair round stamps (restricted re-scoring baselines)
     # ------------------------------------------------------------------
 
-    def pair_round_stamps(self) -> dict[PairKey, int]:
-        """Each pair's last-scored round stamp (columnar store only).
+    def stamp_all_pairs(self, round_index: int) -> None:
+        """Record that every current pair was scored at ``round_index``.
 
         Stamps back DEPEN's per-pair drift baselines: a pair's
         accumulated input drift is measured since the round *it* was
         last scored, not since the last global re-score. Slots created
         after the last full stamp (backfilled pairs) carry stamp 0 —
         "never scored" — so consumers treat them as always affected.
+        Per-position stamps go through
+        :meth:`~repro.dependence.bayes_batch.BatchedPosteriorEngine.stamp_positions`.
         """
-        store = self._store
-        if store is None:
-            raise DataError(
-                "per-pair round stamps live in the columnar entry store — "
-                "build the cache with entry_store='columnar'"
-            )
-        stamps = store.stamps
-        return {
-            key: int(stamps[slot.sid]) for key, slot in self._slots.items()
-        }
-
-    def stamp_pairs(self, keys: Iterable[PairKey], round_index: int) -> None:
-        """Record that ``keys`` were (re)scored at ``round_index``."""
-        store = self._store
-        if store is None:
-            raise DataError(
-                "per-pair round stamps live in the columnar entry store — "
-                "build the cache with entry_store='columnar'"
-            )
-        slots = self._slots
-        store.set_stamps(
-            [slots[key].sid for key in keys if key in slots], round_index
-        )
-
-    def stamp_all_pairs(self, round_index: int) -> None:
-        """Record that every current pair was scored at ``round_index``."""
-        store = self._store
-        if store is None:
-            raise DataError(
-                "per-pair round stamps live in the columnar entry store — "
-                "build the cache with entry_store='columnar'"
-            )
-        store.stamp_all(round_index)
+        self._store.stamp_all(round_index)
 
     # ------------------------------------------------------------------
     # evidence accessors
@@ -1755,11 +1671,6 @@ class EvidenceCache:
         return self._dataset
 
     @property
-    def entry_store(self) -> str:
-        """The resolved store layout: ``"columnar"`` or ``"list"``."""
-        return "columnar" if self._store is not None else "list"
-
-    @property
     def executor(self):
         """The live :class:`repro.exec.ShardExecutor`, or ``None``."""
         return self._executor
@@ -1835,10 +1746,7 @@ class EvidenceCache:
         high-water semantic is exactly right for a warning that should
         fire once if the hazardous regime was ever entered.
         """
-        shared = (
-            slot.length if self._store is not None else len(slot.agree)
-        )
-        overlap = shared + slot.kd
+        overlap = slot.length + slot.kd
         if overlap > self._overlap_mark[0]:
             self._overlap_mark = (overlap, (slot.s1, slot.s2))
 
@@ -1948,8 +1856,8 @@ class EvidenceCache:
     ) -> dict[PairKey, PairEvidence]:
         """Refresh and return evidence for every candidate pair."""
         self.refresh(value_probs)
-        if self._store is not None and self._fast and not self._auto_empirical:
-            # Columnar fast path: the refresh already produced every
+        if self._fast and not self._auto_empirical:
+            # Fast path: the refresh already produced every
             # pair's sums; assembly is one positional construction per
             # pair (kwargs cost ~25% of the whole round at this width).
             kt, kf = self._kt, self._kf
@@ -1989,50 +1897,9 @@ class EvidenceCache:
         """
         if not self._auto_empirical:
             return False
-        shared = slot.length if self._store is not None else len(slot.agree)
-        return shared + slot.kd >= self._overlap_bound
+        return slot.length + slot.kd >= self._overlap_bound
 
     def _build(self, slot: _PairSlot) -> PairEvidence:
-        if self._store is not None:
-            return self._build_columnar(slot)
-        p = self._p
-        kt = 0.0
-        kf = 0.0
-        escaped = self._slot_escaped(slot)
-        if self._fast and not escaped:
-            for eid in slot.agree:
-                p_true = p[eid]
-                kt += p_true
-                kf += 1.0 - p_true
-            shared_values = None
-        else:
-            pop = self._pop
-            shared: list[tuple[float, float]] = []
-            if pop is None:
-                for eid in slot.agree:
-                    p_true = p[eid]
-                    kt += p_true
-                    kf += 1.0 - p_true
-                    shared.append((p_true, -1.0))  # -1: use the uniform 1/n
-            else:
-                for eid in slot.agree:
-                    p_true = p[eid]
-                    kt += p_true
-                    kf += 1.0 - p_true
-                    shared.append((p_true, pop[eid]))
-            shared_values = tuple(shared)
-        return PairEvidence(
-            s1=slot.s1,
-            s2=slot.s2,
-            kt_soft=kt,
-            kf_soft=kf,
-            kd=slot.kd,
-            shared_values=shared_values,
-            shared_count=len(slot.agree),
-            calibrated=escaped,
-        )
-
-    def _build_columnar(self, slot: _PairSlot) -> PairEvidence:
         """Evidence straight off the arrays: sums were computed by the
         last :meth:`refresh`; per-value detail (non-fast modes) is one
         gather over the slot's segment."""

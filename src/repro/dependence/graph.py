@@ -32,9 +32,7 @@ from repro.dependence.bayes import (
     PairDependence,
     ValueProbabilities,
     analyze_pair,
-    pair_posterior,
 )
-from repro.dependence.bayes_batch import resolve_posterior_backend
 from repro.dependence.collector import pair_key as _pair_key
 from repro.dependence.evidence import EvidenceCache
 from repro.exceptions import DataError
@@ -327,19 +325,10 @@ def discover_dependence(
             )
         cache.check_compatible(params)
     try:
-        backend = resolve_posterior_backend(params.posterior_backend, cache)
-        if backend == "batch":
-            cache.refresh(value_probs)
-            engine = cache.posterior_engine(params)
-            for pair in engine.posterior_pairs(accuracies):
-                graph.add(pair)
-            return graph
-        for (s1, s2), evidence in cache.collect_all(value_probs).items():
-            graph.add(
-                pair_posterior(
-                    evidence, accuracies[s1], accuracies[s2], params
-                )
-            )
+        cache.refresh(value_probs)
+        engine = cache.posterior_engine(params)
+        for pair in engine.posterior_pairs(accuracies):
+            graph.add(pair)
         return graph
     finally:
         if owns_cache:

@@ -44,16 +44,13 @@ right executor for the policy. The generic, payload-agnostic sharding
 used by the temporal and opinion collectors
 (:func:`run_collector_shards`) reuses the subclass's own ``_collect``
 hook inside each worker, so those modalities parallelise without numpy
-packing. :class:`ParallelSweepExecutor` remains as a thin legacy
-facade over the same machinery.
+packing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,87 +360,6 @@ def sweep_shard(payload: ShardPayload) -> RecordBlock:
 
 
 # ----------------------------------------------------------------------
-# execution
-# ----------------------------------------------------------------------
-
-
-class ParallelSweepExecutor:
-    """Legacy callable-based executor (superseded by :mod:`repro.exec`).
-
-    Kept for back compatibility with callers that pass a worker
-    *callable* to :meth:`run`; new code obtains a
-    :class:`repro.exec.ShardExecutor` from :meth:`SweepConfig.executor`
-    and addresses work by registry task name instead.
-
-    Runs shard work under the configured backend, results in shard order.
-
-    ``"numpy"`` (and ``"serial"``, for the generic collector path) runs
-    the worker in-process; ``"process"`` uses a
-    :class:`~concurrent.futures.ProcessPoolExecutor` of ``num_workers``
-    processes. Either way :meth:`run` returns results positionally
-    aligned with the submitted payloads — callers merge in shard order
-    and stay independent of completion order.
-
-    With ``persistent=True`` the process pool is created lazily on the
-    first :meth:`run` and *kept alive* across calls, so repeated
-    structural builds — streaming rebuilds, iterative re-syncs, bench
-    loops — pay the fork/spawn cost once instead of re-forking per
-    sweep. Workers are pure functions of their payloads (no shared
-    state), so reuse can never change a result; call :meth:`close` (or
-    use the executor as a context manager) to release the workers. The
-    default ephemeral mode tears the pool down after every run, exactly
-    as before.
-    """
-
-    def __init__(
-        self, backend: str, num_workers: int = 1, *, persistent: bool = False
-    ) -> None:
-        _validate_policy(backend, num_workers)
-        self.backend = backend
-        self.num_workers = num_workers
-        self.persistent = persistent
-        self._pool: ProcessPoolExecutor | None = None
-
-    def run(self, worker: Callable, payloads: Sequence) -> list:
-        """Apply ``worker`` to each payload; results in payload order."""
-        if not payloads:
-            return []
-        if self.backend != "process" or len(payloads) == 1:
-            return [worker(payload) for payload in payloads]
-        if self.persistent:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.num_workers
-                )
-            try:
-                return list(self._pool.map(worker, payloads))
-            except BrokenProcessPool:
-                # Shared recovery with PoolExecutor: warn naming the
-                # backend, drop the poisoned pool so the next run forks
-                # a fresh one — parity with the ephemeral mode, which
-                # recovers by construction.
-                from repro.exec.base import discard_broken_pool
-
-                discard_broken_pool(self.backend, self.close)
-                raise
-        workers = min(self.num_workers, len(payloads))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, payloads))
-
-    def close(self) -> None:
-        """Shut down the persistent pool (no-op when none is alive)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelSweepExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
 # generic collector sharding (temporal / opinion modalities)
 # ----------------------------------------------------------------------
 
@@ -488,8 +404,7 @@ def run_collector_shards(
     ``groups`` must be the full ``(item, providers)`` list in sorted
     item order — the same input the serial
     :meth:`~repro.dependence.collector.PairSlotCollector.build` takes.
-    ``executor`` is a :class:`repro.exec.ShardExecutor` (the legacy
-    :class:`ParallelSweepExecutor` is also accepted). Returns the
+    ``executor`` is a :class:`repro.exec.ShardExecutor`. Returns the
     per-shard ``(slots, truncated)`` results in shard order plus the
     plan used, for the caller's order-canonicalised merge.
     """
@@ -498,8 +413,6 @@ def run_collector_shards(
         (cls, groups[start:end], fixed_pairs, cap_limit)
         for start, end in plan.ranges()
     ]
-    if isinstance(executor, ParallelSweepExecutor):
-        return executor.run(_collector_shard_sweep, tasks), plan
     return executor.run("collector.shard_sweep", tasks), plan
 
 

@@ -37,10 +37,8 @@ from repro.core.types import SourceId
 from repro.dependence.bayes import (
     PairEvidence,
     ValueProbabilities,
-    pair_posterior,
     uniform_value_probabilities,
 )
-from repro.dependence.bayes_batch import resolve_posterior_backend
 from repro.dependence.evidence import EvidenceCache
 from repro.dependence.graph import DependenceGraph, discover_dependence
 from repro.exceptions import DataError
@@ -224,8 +222,7 @@ class StreamingDependenceEngine:
 
         ``pairs_rescored`` / ``pairs_reused`` aggregate DEPEN's
         per-round restricted re-scoring counters over the whole run
-        (columnar truth backend; see
-        :class:`~repro.truth.base.RoundTrace`), ``restricted_rounds``
+        (see :class:`~repro.truth.base.RoundTrace`), ``restricted_rounds``
         counts rounds where the restriction actually reused a
         posterior. Empty before the first :meth:`run_truth`.
         """
@@ -289,54 +286,35 @@ class StreamingDependenceEngine:
             cache.refresh(value_probs)
             graph = DependenceGraph()
             previous = self.graph
-            backend = resolve_posterior_backend(
-                self.params.posterior_backend, cache
-            )
-            if backend == "batch":
-                engine = cache.posterior_engine(self.params)
-                keys = engine.pair_keys()
-                need = np.zeros(len(keys), dtype=bool)
-                if changed:
-                    # Vectorised endpoint selection: pairs touching a
-                    # changed-accuracy source, via the engine's static
-                    # endpoint code arrays instead of an O(pairs)
-                    # membership loop.
-                    code = {s: i for i, s in enumerate(engine.sources)}
-                    changed_codes = np.asarray(
-                        sorted(code[s] for s in changed if s in code),
-                        dtype=np.int64,
-                    )
-                    if changed_codes.size:
-                        s1c, s2c = engine.endpoint_codes()
-                        need |= np.isin(s1c, changed_codes)
-                        need |= np.isin(s2c, changed_codes)
-                for i, key in enumerate(keys):
-                    if not need[i] and (
-                        key in affected or previous.get(*key) is None
-                    ):
-                        need[i] = True
-                positions = np.flatnonzero(need)
-                rescored = int(positions.size)
-                scored = iter(engine.posterior_pairs(accs, positions))
-                for i, key in enumerate(keys):
-                    graph.add(
-                        next(scored) if need[i] else previous.get(*key)
-                    )
-            else:
-                if changed:
-                    for key in cache:
-                        if key[0] in changed or key[1] in changed:
-                            affected.add(key)
-                rescored = 0
-                for key in cache:
-                    pair = None if key in affected else previous.get(*key)
-                    if pair is None:
-                        pair = pair_posterior(
-                            cache.evidence(*key), accs[key[0]], accs[key[1]],
-                            self.params,
-                        )
-                        rescored += 1
-                    graph.add(pair)
+            engine = cache.posterior_engine(self.params)
+            keys = engine.pair_keys()
+            need = np.zeros(len(keys), dtype=bool)
+            if changed:
+                # Vectorised endpoint selection: pairs touching a
+                # changed-accuracy source, via the engine's static
+                # endpoint code arrays instead of an O(pairs)
+                # membership loop.
+                code = {s: i for i, s in enumerate(engine.sources)}
+                changed_codes = np.asarray(
+                    sorted(code[s] for s in changed if s in code),
+                    dtype=np.int64,
+                )
+                if changed_codes.size:
+                    s1c, s2c = engine.endpoint_codes()
+                    need |= np.isin(s1c, changed_codes)
+                    need |= np.isin(s2c, changed_codes)
+            for i, key in enumerate(keys):
+                if not need[i] and (
+                    key in affected or previous.get(*key) is None
+                ):
+                    need[i] = True
+            positions = np.flatnonzero(need)
+            rescored = int(positions.size)
+            scored = iter(engine.posterior_pairs(accs, positions))
+            for i, key in enumerate(keys):
+                graph.add(
+                    next(scored) if need[i] else previous.get(*key)
+                )
             self._graph = graph
         self._graph_result = None
         # Cleared only after scoring succeeded: a KeyError (bad caller

@@ -1,7 +1,7 @@
 """Stateless process-pool executor.
 
-:class:`PoolExecutor` preserves the pre-executor-layer behaviour of
-``ParallelSweepExecutor`` bit-for-bit for the ``process`` backend:
+:class:`PoolExecutor` runs stateless shard tasks for the ``process``
+backend:
 
 - a batch of one (or zero) payloads runs in-process — the pool spin-up
   would dominate, and results are identical either way;

@@ -18,8 +18,8 @@ round's :class:`~repro.truth.columnar.ValueProbTable` structure and
 slot index, copies its probabilities once, and exports a batched DEPEN
 run's pair posteriors straight from their arrays. No dict or graph form
 of the round is built on the way. Dict-only results (voting,
-TruthFinder, the ``dict`` truth backend) are put into that same
-columnar form first, so there is one freeze path.
+TruthFinder) are put into that same columnar form first, so there is
+one freeze path.
 
 A snapshot is *stamped* with its serving ``version`` exactly once —
 normally by :meth:`~repro.serve.store.SnapshotStore.publish` — and

@@ -6,7 +6,7 @@ Before this module, a caller wiring the full pipeline stitched together
 by hand, and each layer spelled its execution knobs separately. The
 session wraps the whole lifecycle behind one object::
 
-    with repro.Session(truth_backend="auto") as session:
+    with repro.Session(parallel_backend="serial") as session:
         session.ingest(claims)          # incremental, any number of times
         session.discover()              # dependence posteriors
         session.run_truth()             # copy-aware truth round
@@ -14,9 +14,9 @@ session wraps the whole lifecycle behind one object::
         session.query(obj)              # served from the snapshot
         session.recommend(k=3)          # dependence-penalised top-k
 
-Execution policy is normalised here: ``truth_backend``,
-``posterior_backend``, ``parallel_backend``, ``entry_store``,
-``num_workers``, ``shard_size`` and ``pool`` are accepted once, as
+Execution policy is normalised here: ``parallel_backend``,
+``num_workers``, ``shard_size``, ``pool``, ``max_retries``,
+``task_deadline`` and ``degrade_on_failure`` are accepted once, as
 session keywords, and folded into one
 :class:`~repro.core.params.DependenceParams` — no more repeating the
 spelling at every layer. An explicit session keyword wins over the same
@@ -48,10 +48,7 @@ from repro.serve.store import SnapshotStore
 #: The execution-policy spellings the session normalises, in the order
 #: they are documented on :class:`~repro.core.params.DependenceParams`.
 POLICY_FIELDS = (
-    "truth_backend",
-    "posterior_backend",
     "parallel_backend",
-    "entry_store",
     "num_workers",
     "shard_size",
     "pool",

@@ -2,11 +2,7 @@
 
 from repro.truth.accu import Accu
 from repro.truth.base import RoundTrace, TruthDiscovery, TruthResult
-from repro.truth.columnar import (
-    TruthRoundEngine,
-    ValueProbTable,
-    resolve_truth_backend,
-)
+from repro.truth.columnar import TruthRoundEngine, ValueProbTable
 from repro.truth.depen import Depen
 from repro.truth.similarity import SimilarityMatrix, similarity_adjusted_counts
 from repro.truth.truthfinder import TruthFinder
@@ -23,6 +19,5 @@ __all__ = [
     "TruthResult",
     "TruthRoundEngine",
     "ValueProbTable",
-    "resolve_truth_backend",
     "similarity_adjusted_counts",
 ]

@@ -30,9 +30,8 @@ class RoundTrace:
     ``pairs_rescored`` / ``pairs_reused`` count how the round's
     dependence step treated the candidate pairs: recomputed the
     posterior, or carried the previous round's over because nothing the
-    posterior depends on moved (DEPEN's restricted re-scoring, columnar
-    truth backend only). ``None`` on algorithms and backends that score
-    every pair unconditionally — the counters are execution diagnostics,
+    posterior depends on moved (DEPEN's restricted re-scoring). ``None``
+    on algorithms that score every pair unconditionally — the counters are execution diagnostics,
     never part of the result equivalence.
     """
 

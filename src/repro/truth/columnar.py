@@ -1,4 +1,4 @@
-"""Array-native truth rounds: the columnar backend of ACCU and DEPEN.
+"""Array-native truth rounds: the truth-round engine of ACCU and DEPEN.
 
 PRs 1-4 vectorised the *dependence* half of the iterative loop (batch
 pair evidence, the sharded sweep, the columnar entry store). This module
@@ -53,10 +53,9 @@ steps, over the table's layout:
 
 1. *vote counts* — ACCU is one ``np.bincount`` of per-claim scores into
    slots; DEPEN additionally discounts copied votes: claims are sorted
-   by ``(slot, accuracy rank)`` (the argsort reuses
-   :class:`~repro.truth.vote_counting.VoteOrderCache`'s insight — every
-   per-value provider ordering is a projection of one global ranking,
-   so the sort is recomputed only when the ranking changes). Which
+   by ``(slot, accuracy rank)`` (every per-value provider ordering is
+   a projection of one global ranking, so the sort is recomputed only
+   when the ranking changes). Which
    claim positions discount which does not depend on the ranking, so
    that geometry is built once per engine; a round gathers every
    factor from the dependence matrix at once and multiplies each
@@ -70,27 +69,29 @@ steps, over the table's layout:
 Bitwise discipline
 ------------------
 
-The dict path stays the equivalence reference, and the kernels are built
-so results are **bit-for-bit identical** to it, not merely close:
+The equivalence reference is the dict loop over
+:mod:`repro.truth.vote_counting` kept in the test suite
+(``tests/truth_oracle.py``), and the kernels are built so results are
+**bit-for-bit identical** to it, not merely close:
 
 * every sum runs through ``np.bincount``, which accumulates weights
   sequentially in input order (the PR 4 entry-store fact), with the
-  input arrays laid out in the dict path's own iteration order;
+  input arrays laid out in the reference loop's own iteration order;
 * the DEPEN discount multiplies its factors in the reference order
   (earliest counted provider first), with ``np.multiply.reduceat``,
   whose per-segment product is sequential (unlike ``np.add``'s
   pairwise sum);
 * ``exp``/``log`` come from :mod:`repro.core.fmath` on both sides: the
   kernels call its array ``log_array``/``exp_array`` (numpy's SIMD
-  ``np.log``/``np.exp``), and the dict path's
+  ``np.log``/``np.exp``), and the reference's
   :func:`~repro.truth.vote_counting.accuracy_score` and
   :func:`~repro.truth.vote_counting.softmax_distribution` call its
   scalar ``log``/``exp``, which run the same ufunc on one Python float
   and so give the same bits as the matching array element. The
   deterministic tie-breaking the reproduction's experiments rely on
-  therefore sees identical counts on both paths.
+  therefore sees identical counts on both sides.
 
-Parity holds between the two paths on one machine. numpy picks its
+Parity holds between the kernels and the reference on one machine. numpy picks its
 SIMD ``log``/``exp`` loop by CPU feature (AVX-512 or not), and those
 loops differ from libm, and from each other, by at most 1 ulp on a small
 share of inputs; so the last ulps of a probability may differ across
@@ -100,7 +101,6 @@ machines, as they already could across libm versions.
 from __future__ import annotations
 
 import itertools
-import os
 from bisect import insort
 from collections.abc import Mapping
 from operator import attrgetter, getitem
@@ -109,42 +109,11 @@ import numpy as np
 
 from repro.core import fmath
 from repro.core.dataset import ClaimDataset
-from repro.core.params import TRUTH_BACKENDS
 from repro.core.types import ObjectId, SourceId, Value
 from repro.exceptions import DataError, ParameterError
 
-#: Environment variable consulted by :func:`resolve_truth_backend` for
-#: callers without a :class:`~repro.core.params.DependenceParams` (the
-#: params class applies it through its own env-override hook instead).
-TRUTH_BACKEND_ENV = "REPRO_TRUTH_BACKEND"
-
 _layout_uids = itertools.count()
 _value_of = attrgetter("value")
-
-
-def resolve_truth_backend(setting: str, *, consult_env: bool = False) -> str:
-    """Resolve a ``truth_backend`` setting to ``"columnar"`` or ``"dict"``.
-
-    ``"auto"`` picks columnar; ``"dict"`` keeps the pure-Python
-    reference path. With
-    ``consult_env=True`` an ``"auto"`` setting first defers to the
-    ``REPRO_TRUTH_BACKEND`` environment variable — the hook for callers
-    that do not take :class:`~repro.core.params.DependenceParams`
-    (:class:`~repro.truth.accu.Accu`), whose params-based peers get the
-    same behaviour from the params env-override machinery.
-    """
-    if consult_env and setting == "auto":
-        env = os.environ.get(TRUTH_BACKEND_ENV)
-        if env:
-            setting = env
-    if setting not in TRUTH_BACKENDS:
-        raise ParameterError(
-            "truth_backend must be 'auto', 'columnar' or 'dict', got "
-            f"{setting!r}"
-        )
-    if setting == "auto":
-        return "columnar"
-    return setting
 
 
 def _runs(new_idx, old_idx):
@@ -604,7 +573,7 @@ class ValueProbTable:
         self.slot_values: tuple = layout.slot_values
         self.counts = layout.counts
         if value_probs is None:
-            # 1.0 / len(values) per object, as the dict path divides.
+            # 1.0 / len(values) per object, as the dict reference divides.
             probs = (1.0 / np.diff(self.bounds))[self.row_of_slot]
         else:
             # An object's offsets dict iterates its values in slot order.
@@ -707,12 +676,11 @@ class TruthRoundEngine:
     """Vectorised kernels for one ACCU/DEPEN truth round.
 
     Reads the flat claim arrays of a :class:`ValueProbTable`'s
-    :class:`TruthLayout`, in the two iteration orders the dict path's
+    :class:`TruthLayout`, in the two iteration orders the dict reference's
     accumulations follow (see each kernel), and owns what the DEPEN
     discount needs: the claim-pair geometry, built once per engine, and
     the rank-sorted claims — cached and recomputed only when the global
-    accuracy ranking changes, exactly like
-    :class:`~repro.truth.vote_counting.VoteOrderCache`. An engine lives
+    accuracy ranking changes. An engine lives
     for one run; the geometry stays off the shared layout.
     """
 
@@ -734,13 +702,13 @@ class TruthRoundEngine:
         self.n_slots = len(table)
         self.n_objects = len(table.objects)
         # Vote-counting order: per slot, providers in the by-object
-        # index's set iteration order — the exact order the dict path's
+        # index's set iteration order — the exact order the dict reference's
         # `sum(scores[s] for s in providers)` walks, so the ACCU
         # bincount accumulates bitwise identically.
         self.claim_slot = layout.claim_slot
         self.claim_src = layout.claim_src
         # Accuracy order: per source (sorted), that source's claims in
-        # its by-source insertion order — the dict path's
+        # its by-source insertion order — the dict reference's
         # `soft_accuracies` walk, for the same bitwise reason.
         self._acc_slot = layout.acc_slot
         self._acc_src = layout.acc_src
@@ -832,8 +800,7 @@ class TruthRoundEngine:
         The global ranking — sources by ``(-accuracy, source)`` — is the
         only input; while it is unchanged (the common case once the
         iteration starts settling) the cached argsort and pair codes are
-        reused as-is, the array analogue of
-        :class:`~repro.truth.vote_counting.VoteOrderCache`. A change
+        reused as-is. A change
         re-sorts each slot's claims by rank and gathers the sources at
         the factor geometry's positions, which do not depend on the
         ranking (:func:`_factor_geometry`, built once per engine).
@@ -866,7 +833,7 @@ class TruthRoundEngine:
         row (ties broken by value ``repr``, exactly like
         :func:`~repro.truth.vote_counting.decide`) and the slot-aligned
         probability array (softmax over each object's segment, with the
-        dict path's max-shift and accumulation order).
+        dict reference's max-shift and accumulation order).
         """
         bounds = self.table.bounds
         row_of_slot = self.table.row_of_slot
@@ -898,7 +865,7 @@ class TruthRoundEngine:
                     key=lambda slot: repr(values[slot]),
                 )
 
-        # Distributions: fmath's exp, bit for bit the dict path's (see
+        # Distributions: fmath's exp, bit for bit the dict reference's (see
         # the module docstring); the normaliser is a sequential
         # per-object segment sum.
         weights = fmath.exp_array(counts - slot_peak)
@@ -932,7 +899,7 @@ def dependence_matrix(graph, sources: list[SourceId], src_code=None):
     ``dep[i, j]`` is ``graph.probability(sources[i], sources[j])``;
     unanalysed pairs are 0.0 (treated as independent — their discount
     factor is exactly 1.0, so multiplying by it is a bitwise no-op,
-    matching the dict path's behaviour of multiplying anyway).
+    matching the dict reference's behaviour of multiplying anyway).
     """
     if src_code is None:
         src_code = {source: i for i, source in enumerate(sources)}

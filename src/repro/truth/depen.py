@@ -27,17 +27,8 @@ from __future__ import annotations
 
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams, IterationParams
-from repro.dependence.bayes import (
-    pair_posterior,
-    uniform_value_probabilities,
-)
-from repro.dependence.bayes_batch import resolve_posterior_backend
 from repro.dependence.evidence import EvidenceCache
-from repro.dependence.graph import (
-    DependenceGraph,
-    PairPosteriorArrays,
-    discover_dependence,
-)
+from repro.dependence.graph import PairPosteriorArrays
 from repro.exceptions import ConvergenceError
 from repro.truth.base import (
     ColumnarTruth,
@@ -45,20 +36,7 @@ from repro.truth.base import (
     TruthDiscovery,
     TruthResult,
 )
-from repro.truth.columnar import (
-    TruthLayout,
-    TruthRoundEngine,
-    ValueProbTable,
-    dependence_matrix,
-    resolve_truth_backend,
-)
-from repro.truth.vote_counting import (
-    VoteOrderCache,
-    accuracy_score,
-    all_discounted_vote_counts,
-    decisions_and_distributions,
-    soft_accuracies,
-)
+from repro.truth.columnar import TruthLayout, TruthRoundEngine, ValueProbTable
 
 
 def select_affected(posterior, base_p, base_a, drift_p, drift_a, tol):
@@ -177,24 +155,16 @@ class Depen(TruthDiscovery):
         # The overlap structure never changes between rounds, so the
         # candidate pairs and every structural part of the pair evidence
         # are computed once; only the value_probs-dependent soft parts
-        # are refreshed each round inside discover_dependence. Provider
-        # orderings for the vote discount are likewise reused until the
-        # accuracy ranking actually changes.
+        # are refreshed each round. Provider orderings for the vote
+        # discount are likewise reused until the accuracy ranking
+        # actually changes.
         owns_cache = evidence_cache is None
         if evidence_cache is None:
             evidence_cache = EvidenceCache(
                 dataset, min_overlap=self.min_overlap, params=self.params
             )
-        backend = resolve_truth_backend(self.params.truth_backend)
         try:
-            if backend == "columnar":
-                return self._iterate_columnar(
-                    dataset, evidence_cache, it, layout
-                )
-            order_cache = VoteOrderCache(dataset)
-            return self._iterate(
-                dataset, evidence_cache, order_cache, it
-            )
+            return self._iterate(dataset, evidence_cache, it, layout)
         finally:
             if owns_cache:
                 # An internally built cache must not strand a
@@ -207,96 +177,19 @@ class Depen(TruthDiscovery):
         self,
         dataset: ClaimDataset,
         evidence_cache: EvidenceCache,
-        order_cache: VoteOrderCache,
-        it: IterationParams,
-    ) -> TruthResult:
-        accuracies = {s: it.initial_accuracy for s in dataset.sources}
-        value_probs = uniform_value_probabilities(dataset)
-        decisions: dict = {}
-        distributions: dict = {}
-        dependence = DependenceGraph()
-        trace: list[RoundTrace] = []
-        converged = False
-        rounds = 0
-        for rounds in range(1, it.max_rounds + 1):
-            clamped = {s: it.clamp_accuracy(a) for s, a in accuracies.items()}
-            dependence = discover_dependence(
-                dataset,
-                value_probs,
-                clamped,
-                self.params,
-                min_overlap=self.min_overlap,
-                evidence_cache=evidence_cache,
-            )
-            scores = {
-                s: accuracy_score(a, self.params.n_false_values)
-                for s, a in clamped.items()
-            }
-            counts = all_discounted_vote_counts(
-                dataset,
-                scores,
-                dependence,
-                self.params.copy_rate,
-                clamped,
-                order_cache=order_cache,
-            )
-            new_decisions, distributions = decisions_and_distributions(
-                dataset, counts
-            )
-            new_accuracies = soft_accuracies(dataset, distributions)
-
-            changed = sum(
-                1
-                for obj, value in new_decisions.items()
-                if decisions.get(obj) != value
-            )
-            movement = max(
-                abs(new_accuracies[s] - accuracies[s]) for s in new_accuracies
-            )
-            trace.append(
-                RoundTrace(
-                    round_index=rounds,
-                    accuracy_change=movement,
-                    decisions_changed=changed,
-                )
-            )
-            decisions, accuracies = new_decisions, new_accuracies
-            value_probs = distributions
-            if movement < it.accuracy_tolerance and changed == 0 and rounds > 1:
-                converged = True
-                break
-
-        if not converged and it.fail_on_max_rounds:
-            raise ConvergenceError(
-                f"{self.name}: no convergence in {it.max_rounds} rounds"
-            )
-        return TruthResult(
-            decisions=decisions,
-            distributions=distributions,
-            accuracies=accuracies,
-            dependence=dependence,
-            rounds=rounds,
-            converged=converged,
-            trace=trace,
-            dataset_version=dataset.version,
-        )
-
-    def _iterate_columnar(
-        self,
-        dataset: ClaimDataset,
-        evidence_cache: EvidenceCache,
         it: IterationParams,
         layout: TruthLayout | None,
     ) -> TruthResult:
-        """The same loop as :meth:`_iterate`, as array kernels.
+        """The module docstring's loop, as array kernels.
 
         Value probabilities live in a
         :class:`~repro.truth.columnar.ValueProbTable` that the evidence
         cache consumes positionally (no per-entry dict probes) and the
         :class:`~repro.truth.columnar.TruthRoundEngine` kernels produce
-        directly; results are bit-for-bit identical to the dict path
-        (the kernels preserve its accumulation orders and scalar
-        transcendentals — see :mod:`repro.truth.columnar`).
+        directly; results are bit-for-bit identical to the dict
+        reference loop kept in ``tests/truth_oracle.py`` (the kernels
+        preserve its accumulation orders and scalar transcendentals —
+        see :mod:`repro.truth.columnar`).
 
         Rounds after the first restrict the dependence re-scoring: a
         pair's posterior is recomputed only when some input of it moved
@@ -305,32 +198,23 @@ class Depen(TruthDiscovery):
         round *that pair* was last scored. Drift accumulates
         monotonically; each pair's baseline is the cumulative drift
         snapshot taken the round it was stamped (per-slot round stamps
-        in the columnar entry store), so a pair's baseline resets
-        exactly when it is re-scored. With a list entry store there are
-        no stamps and the coarser shared baseline applies: it resets
-        only on rounds where every pair was re-scored, so it reuses a
-        subset of what the per-pair baseline reuses. With the 0.0
-        default only bitwise-unchanged inputs are reused, which is
-        exact either way; the per-round counters land in the trace
-        (``pairs_rescored`` / ``pairs_reused``).
+        in the entry store), so a pair's baseline resets exactly when
+        it is re-scored. With the 0.0 default only bitwise-unchanged
+        inputs are reused, which is exact; the per-round counters land
+        in the trace (``pairs_rescored`` / ``pairs_reused``).
 
-        With the batched posterior backend
-        (:mod:`repro.dependence.bayes_batch`, the default on a columnar
-        entry store) the whole dependence step is fused. The affected
-        set is a boolean mask over pair positions built in one pass per
-        round (:func:`select_affected`): the cheap endpoint test runs
-        first, for every pair at once against the stacked accuracy
-        baselines, and agreement cells are scanned only for the pairs
-        it left unaffected — on a round where every source's accuracy
-        moved, no cell is read at all. The posteriors for the selected
-        positions come from one
+        The whole dependence step is fused. The affected set is a
+        boolean mask over pair positions built in one pass per round
+        (:func:`select_affected`): the cheap endpoint test runs first,
+        for every pair at once against the stacked accuracy baselines,
+        and agreement cells are scanned only for the pairs it left
+        unaffected — on a round where every source's accuracy moved, no
+        cell is read at all. The posteriors for the selected positions
+        come from one
         :meth:`~repro.dependence.bayes_batch.BatchedPosteriorEngine.posterior_arrays`
         call and are written straight into the persistent dependence
         matrix — a steady-state round does no per-pair Python work at
-        all. The scalar backend (``posterior_backend="scalar"``) keeps
-        the per-pair :func:`~repro.dependence.bayes.pair_posterior`
-        loop and the per-stamp-group selection as the bit-for-bit
-        reference.
+        all.
         """
         import numpy as np
 
@@ -339,217 +223,67 @@ class Depen(TruthDiscovery):
         )
         engine = TruthRoundEngine(dataset, table)
         params = self.params
-        sources = engine.sources
-        src_code = table.layout.src_code
         tol = it.rescore_tolerance
         accuracies = np.full(
             engine.n_sources, it.initial_accuracy, dtype=np.float64
         )
-        # Cumulative input drift. On the per-pair path (columnar entry
-        # store) these grow monotonically and each stamp round keeps a
-        # snapshot as its baseline; on the list path they reset whenever
-        # every pair was re-scored (the shared baseline).
+        # Cumulative input drift: grows monotonically, and each stamp
+        # round keeps a snapshot as its baseline.
         drift_p = np.zeros(len(table), dtype=np.float64)
         drift_a = np.zeros(engine.n_sources, dtype=np.float64)
-        per_pair = evidence_cache.entry_store == "columnar"
-        batched = (
-            resolve_posterior_backend(params.posterior_backend, evidence_cache)
-            == "batch"
-        )
         base_p: dict[int, object] = {}
         base_a: dict[int, object] = {}
         prev_clamped = None
-        graph = DependenceGraph()
         winners = None
         trace: list[RoundTrace] = []
         converged = False
         rounds = 0
-        # Batched-posterior state: the engine, the current per-position
-        # posterior arrays and the persistent dependence matrix (only
-        # re-scored positions are rewritten each round; the arrays go to
-        # the result as they are, and the graph object is built only if
-        # a caller reads it).
+        # The posterior engine, the current per-position posterior
+        # arrays and the persistent dependence matrix: only re-scored
+        # positions are rewritten each round; the arrays go to the
+        # result as they are, and the graph object is built only if a
+        # caller reads it.
         posterior = None
         post_ind = post_12 = post_21 = None
         pair_s1c = pair_s2c = None
-        dep = None
-        # Endpoint-code arrays for the scalar path's vectorised
-        # "pairs touching a moved source" selection; built lazily once
-        # per run (the pair set is fixed across rounds).
-        pair_keys: list | None = None
-        key1_codes = None
-        key2_codes = None
+        dep = np.zeros((engine.n_sources, engine.n_sources), dtype=np.float64)
         for rounds in range(1, it.max_rounds + 1):
             clamped = engine.clamp(
                 accuracies, it.accuracy_floor, it.accuracy_ceiling
             )
             if prev_clamped is not None:
                 drift_a += np.abs(clamped - prev_clamped)
-            if batched:
-                # Fused DEPEN round: posteriors for every affected pair
-                # come from one batched kernel pass and land straight in
-                # the dependence matrix — zero per-pair Python work in
-                # the steady state. The accuracy vector is already in
-                # engine-source order, so no dict round-trip either.
-                evidence_cache.refresh(table)
-                if posterior is None:
-                    posterior = evidence_cache.posterior_engine(params)
-                    pair_s1c, pair_s2c = posterior.endpoint_codes()
-                    dep = np.zeros(
-                        (engine.n_sources, engine.n_sources),
-                        dtype=np.float64,
-                    )
-                if rounds == 1:
-                    post_ind, post_12, post_21 = posterior.posterior_arrays(
-                        clamped
-                    )
-                    rescored = int(post_ind.size)
-                    reused = 0
-                    p_dep = post_12 + post_21
-                    dep[pair_s1c, pair_s2c] = p_dep
-                    dep[pair_s2c, pair_s1c] = p_dep
-                    evidence_cache.stamp_all_pairs(rounds)
+            evidence_cache.refresh(table)
+            if rounds == 1:
+                posterior = evidence_cache.posterior_engine(params)
+                pair_s1c, pair_s2c = posterior.endpoint_codes()
+                post_ind, post_12, post_21 = posterior.posterior_arrays(clamped)
+                rescored = int(post_ind.size)
+                reused = 0
+                p_dep = post_12 + post_21
+                dep[pair_s1c, pair_s2c] = p_dep
+                dep[pair_s2c, pair_s1c] = p_dep
+                evidence_cache.stamp_all_pairs(rounds)
+                base_p[rounds] = drift_p.copy()
+                base_a[rounds] = drift_a.copy()
+            else:
+                affected_mask = select_affected(
+                    posterior, base_p, base_a, drift_p, drift_a, tol
+                )
+                sel = np.flatnonzero(affected_mask)
+                rescored = int(sel.size)
+                reused = int(post_ind.size) - rescored
+                if sel.size:
+                    pi, p12, p21 = posterior.posterior_arrays(clamped, sel)
+                    post_ind[sel] = pi
+                    post_12[sel] = p12
+                    post_21[sel] = p21
+                    p_dep = p12 + p21
+                    dep[pair_s1c[sel], pair_s2c[sel]] = p_dep
+                    dep[pair_s2c[sel], pair_s1c[sel]] = p_dep
+                    posterior.stamp_positions(sel, rounds)
                     base_p[rounds] = drift_p.copy()
                     base_a[rounds] = drift_a.copy()
-                else:
-                    affected_mask = select_affected(
-                        posterior, base_p, base_a, drift_p, drift_a, tol
-                    )
-                    sel = np.flatnonzero(affected_mask)
-                    rescored = int(sel.size)
-                    reused = int(post_ind.size) - rescored
-                    if sel.size:
-                        pi, p12, p21 = posterior.posterior_arrays(
-                            clamped, sel
-                        )
-                        post_ind[sel] = pi
-                        post_12[sel] = p12
-                        post_21[sel] = p21
-                        p_dep = p12 + p21
-                        dep[pair_s1c[sel], pair_s2c[sel]] = p_dep
-                        dep[pair_s2c[sel], pair_s1c[sel]] = p_dep
-                        posterior.stamp_positions(sel, rounds)
-                        base_p[rounds] = drift_p.copy()
-                        base_a[rounds] = drift_a.copy()
-            else:
-                acc_map = dict(zip(sources, clamped.tolist()))
-                if rounds == 1:
-                    graph = discover_dependence(
-                        dataset,
-                        table,
-                        acc_map,
-                        params,
-                        min_overlap=self.min_overlap,
-                        evidence_cache=evidence_cache,
-                    )
-                    rescored = len(evidence_cache)
-                    reused = 0
-                    if per_pair:
-                        evidence_cache.stamp_all_pairs(rounds)
-                        base_p[rounds] = drift_p.copy()
-                        base_a[rounds] = drift_a.copy()
-                    else:
-                        drift_p[:] = 0.0
-                        drift_a[:] = 0.0
-                else:
-                    evidence_cache.refresh(table)
-                    if pair_keys is None:
-                        pair_keys = list(evidence_cache)
-                        key1_codes = np.fromiter(
-                            (src_code[k1] for k1, _ in pair_keys),
-                            dtype=np.int64,
-                            count=len(pair_keys),
-                        )
-                        key2_codes = np.fromiter(
-                            (src_code[k2] for _, k2 in pair_keys),
-                            dtype=np.int64,
-                            count=len(pair_keys),
-                        )
-                    if per_pair:
-                        affected = set()
-                        stamps_of = evidence_cache.pair_round_stamps()
-                        groups: dict[int, list[int]] = {}
-                        for idx, key in enumerate(pair_keys):
-                            groups.setdefault(stamps_of[key], []).append(idx)
-                        for stamp, indices in groups.items():
-                            if stamp not in base_p:
-                                # Never scored (stamp 0) or the baseline
-                                # predates this call: no basis for reuse.
-                                affected.update(
-                                    pair_keys[i] for i in indices
-                                )
-                                continue
-                            moved = evidence_cache.pairs_with_moved_entries(
-                                drift_p - base_p[stamp] > tol
-                            )
-                            if moved:
-                                affected.update(
-                                    moved.intersection(
-                                        pair_keys[i] for i in indices
-                                    )
-                                )
-                            moved_src = drift_a - base_a[stamp] > tol
-                            if moved_src.any():
-                                idx_arr = np.asarray(
-                                    indices, dtype=np.int64
-                                )
-                                hit = (
-                                    moved_src[key1_codes[idx_arr]]
-                                    | moved_src[key2_codes[idx_arr]]
-                                )
-                                affected.update(
-                                    pair_keys[i]
-                                    for i in idx_arr[hit].tolist()
-                                )
-                    else:
-                        affected = evidence_cache.pairs_with_moved_entries(
-                            drift_p > tol
-                        )
-                        moved_src = drift_a > tol
-                        if moved_src.any():
-                            hit = (
-                                moved_src[key1_codes]
-                                | moved_src[key2_codes]
-                            )
-                            affected.update(
-                                key
-                                for key, h in zip(pair_keys, hit.tolist())
-                                if h
-                            )
-                    previous = graph
-                    graph = DependenceGraph()
-                    rescored = 0
-                    rescored_keys: list = []
-                    for key in evidence_cache:
-                        pair = None if key in affected else previous.get(*key)
-                        if pair is None:
-                            pair = pair_posterior(
-                                evidence_cache.evidence(*key),
-                                acc_map[key[0]],
-                                acc_map[key[1]],
-                                params,
-                            )
-                            rescored += 1
-                            if per_pair:
-                                rescored_keys.append(key)
-                        graph.add(pair)
-                    reused = len(evidence_cache) - rescored
-                    if per_pair:
-                        if rescored_keys:
-                            evidence_cache.stamp_pairs(rescored_keys, rounds)
-                            base_p[rounds] = drift_p.copy()
-                            base_a[rounds] = drift_a.copy()
-                        live = set(evidence_cache.pair_round_stamps().values())
-                        for stamp in list(base_p):
-                            if stamp not in live:
-                                del base_p[stamp]
-                                del base_a[stamp]
-                    elif reused == 0:
-                        # Everything was re-scored against the current
-                        # inputs: they are the new shared drift baseline.
-                        drift_p[:] = 0.0
-                        drift_a[:] = 0.0
-                dep = dependence_matrix(graph, sources, src_code)
             scores = engine.scores(clamped, params.n_false_values)
             counts = engine.depen_counts(
                 scores, dep, params.copy_rate, clamped
@@ -580,24 +314,20 @@ class Depen(TruthDiscovery):
                 converged = True
                 break
 
-        pairs = None
-        if batched and posterior is not None:
-            pairs = PairPosteriorArrays(
-                posterior.pair_keys(),
-                pair_s1c,
-                pair_s2c,
-                post_ind,
-                post_12,
-                post_21,
-            )
-            graph = None
+        pairs = PairPosteriorArrays(
+            posterior.pair_keys(),
+            pair_s1c,
+            pair_s2c,
+            post_ind,
+            post_12,
+            post_21,
+        )
         if not converged and it.fail_on_max_rounds:
             raise ConvergenceError(
                 f"{self.name}: no convergence in {it.max_rounds} rounds"
             )
         return TruthResult(
             accuracies=engine.accuracies_dict(accuracies),
-            dependence=graph,
             rounds=rounds,
             converged=converged,
             trace=trace,

@@ -16,90 +16,11 @@ Terminology follows section 3.2's Bayesian sketch:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.core import fmath
 from repro.core.dataset import ClaimDataset
 from repro.core.types import ObjectId, SourceId, Value
 from repro.dependence.graph import DependenceGraph
-from repro.exceptions import DataError, ParameterError
-
-#: A per-object vote plan: for each value (in claim-store order), the
-#: providers in decreasing-accuracy order.
-VoteOrder = list[tuple[Value, list[SourceId]]]
-
-
-class VoteOrderCache:
-    """Caches the per-(object, value) provider orderings across rounds.
-
-    :func:`discounted_vote_counts` walks each value's providers in
-    decreasing accuracy order (ties broken lexicographically). Every
-    such ordering is a projection of one *global* ranking — sources
-    sorted by ``(-accuracy, source)`` — so it can only change when two
-    sources swap ranks. Iterative algorithms converge precisely by their
-    accuracies settling, after the first few rounds the ranking is
-    static, and re-sorting every object's providers every round is
-    wasted work. This cache re-sorts only when the global ranking
-    actually changed; when just the dataset moved (ingest adds
-    providers) it re-sorts only the objects dirty since the cached
-    version, answered from the dataset's mutation log.
-    """
-
-    def __init__(self, dataset: ClaimDataset) -> None:
-        self._dataset = dataset
-        self._ranking: list[SourceId] | None = None
-        self._version: int | None = None
-        self._orders: dict[ObjectId, VoteOrder] = {}
-
-    def orderings(
-        self, accuracies: Mapping[SourceId, float]
-    ) -> dict[ObjectId, VoteOrder]:
-        """Per-object vote plans under the current accuracy estimates.
-
-        Every provider in the dataset must have an accuracy (the batch
-        entry points validate that before calling).
-        """
-        ranking = sorted(accuracies, key=lambda s: (-accuracies[s], s))
-        version = self._dataset.version
-        if ranking == self._ranking and version == self._version:
-            return self._orders
-        # Sorting by the precomputed integer rank reproduces the
-        # (-accuracy, source) order exactly: the subset order of a
-        # strict total order is the order of the global ranks.
-        rank = {source: i for i, source in enumerate(ranking)}
-        dataset = self._dataset
-        if ranking == self._ranking and self._version is not None:
-            # Only the dataset moved (ingest): the ranking — and with it
-            # every clean object's provider ordering — is unchanged, so
-            # re-sort just the objects the ingest dirtied. A mutation
-            # log compacted past our sync point can no longer answer
-            # the delta; fall back to the full rebuild then.
-            try:
-                dirty = dataset.dirty_objects_since(self._version)
-            except DataError:
-                dirty = None
-            if dirty is not None:
-                orders = self._orders
-                for obj in dirty:
-                    orders[obj] = [
-                        (value, sorted(providers, key=rank.__getitem__))
-                        for value, providers in dataset.values_for_view(
-                            obj
-                        ).items()
-                    ]
-                self._version = version
-                return orders
-        self._orders = {
-            obj: [
-                (value, sorted(providers, key=rank.__getitem__))
-                for value, providers in dataset.values_for_view(obj).items()
-            ]
-            for obj in dataset.objects
-        }
-        self._ranking = ranking
-        self._version = version
-        return self._orders
-
+from repro.exceptions import ParameterError
 
 def accuracy_score(accuracy: float, n_false_values: int) -> float:
     """``A'(S) = ln(n·A / (1-A))`` — one vote's weight.
@@ -206,20 +127,11 @@ def _discounted_counts(
     dependence: DependenceGraph,
     copy_rate: float,
     accuracies: dict[SourceId, float],
-    ordered: VoteOrder | None = None,
 ) -> dict[Value, float]:
-    """Unchecked kernel of :func:`discounted_vote_counts`.
-
-    ``ordered`` supplies a precomputed vote plan (from
-    :class:`VoteOrderCache`); without one the providers are sorted here.
-    """
+    """Unchecked kernel of :func:`discounted_vote_counts`."""
     counts: dict[Value, float] = {}
-    if ordered is None:
-        ordered = [
-            (value, sorted(providers, key=lambda s: (-accuracies[s], s)))
-            for value, providers in dataset.values_for_view(obj).items()
-        ]
-    for value, providers in ordered:
+    for value, unordered in dataset.values_for_view(obj).items():
+        providers = sorted(unordered, key=lambda s: (-accuracies[s], s))
         counted: list[SourceId] = []
         total = 0.0
         for source in providers:
@@ -236,28 +148,19 @@ def all_discounted_vote_counts(
     dependence: DependenceGraph,
     copy_rate: float,
     accuracies: dict[SourceId, float],
-    order_cache: VoteOrderCache | None = None,
 ) -> dict[ObjectId, dict[Value, float]]:
     """DEPEN vote counts for every object in one pass (zero-copy views).
 
     Validates the accuracy maps against the whole dataset once, then
-    runs the unchecked kernel per object — the per-round hot loop pays
-    no per-provider membership checks. Iterative callers pass an
-    ``order_cache`` so provider orderings are re-sorted only on rounds
-    where the accuracy ranking actually changed.
+    runs the unchecked kernel per object, which sorts each value's
+    providers itself — the reference walk the truth-round engine's
+    DEPEN discount matches bit for bit.
     """
     _require_entries(dataset, scores, "scores")
     _require_entries(dataset, accuracies, "accuracies")
-    orders = None if order_cache is None else order_cache.orderings(accuracies)
     return {
         obj: _discounted_counts(
-            dataset,
-            obj,
-            scores,
-            dependence,
-            copy_rate,
-            accuracies,
-            ordered=None if orders is None else orders[obj],
+            dataset, obj, scores, dependence, copy_rate, accuracies
         )
         for obj in dataset.objects
     }

@@ -1,19 +1,20 @@
-"""Batched posterior kernel: bit-for-bit equivalence with the scalar path.
+"""Batched posterior kernel: bit-for-bit equivalence with the scalar oracle.
 
 The contract of :mod:`repro.dependence.bayes_batch`: for every evidence
 model, the :class:`BatchedPosteriorEngine` produces posteriors that are
 **bit-for-bit identical** to calling
 :func:`~repro.dependence.bayes.pair_posterior` on the evidence the cache
 serves for the same pair — all pairs or any index-selected subset,
-including under streaming ingest — plus the backend resolution rules,
-the env override, and the hoisted accuracy validation.
+including under streaming ingest, and end to end through ``Depen``,
+``discover_dependence`` and the streaming engine's restricted
+re-scoring (against the loops of ``tests/truth_oracle.py``) — plus the
+hoisted accuracy validation.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,15 +23,12 @@ from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams, IterationParams
 from repro.dependence.bayes import pair_posterior, uniform_value_probabilities
-from repro.dependence.bayes_batch import (
-    BatchedPosteriorEngine,
-    resolve_posterior_backend,
-)
 from repro.dependence.evidence import EvidenceCache
 from repro.dependence.graph import discover_dependence
 from repro.dependence.streaming import StreamingDependenceEngine
-from repro.exceptions import DataError, ParameterError
+from repro.exceptions import DataError
 from repro.truth import Depen
+from truth_oracle import depen_oracle, posterior_graph
 
 ALL_MODEL_PARAMS = [
     {"false_value_model": model, "evidence_form": form}
@@ -39,9 +37,9 @@ ALL_MODEL_PARAMS = [
 ]
 
 
-def _params(entry_store="columnar", **overrides):
+def _params(**overrides):
     overrides.setdefault("overlap_warning_bound", None)
-    return DependenceParams(entry_store=entry_store, **overrides)
+    return DependenceParams(**overrides)
 
 
 def _random_claims(rng, n_sources=10, n_objects=30, coverage=18, n_values=3):
@@ -81,51 +79,11 @@ def _assert_pairs_equal(batch_pairs, reference):
 
 
 # ---------------------------------------------------------------------------
-# backend resolution and parameter plumbing
+# engine plumbing
 # ---------------------------------------------------------------------------
 
 
-class TestBackendResolution:
-    def test_params_validate_posterior_backend(self):
-        with pytest.raises(ParameterError):
-            DependenceParams(posterior_backend="vectorized")
-
-    def test_env_override_on_default_params(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POSTERIOR_BACKEND", "scalar")
-        assert DependenceParams().posterior_backend == "scalar"
-        # An explicit non-default argument always wins.
-        assert (
-            DependenceParams(posterior_backend="batch").posterior_backend
-            == "batch"
-        )
-
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POSTERIOR_BACKEND", "simd")
-        with pytest.raises(ParameterError):
-            DependenceParams()
-
-    def test_auto_resolves_by_entry_store(self):
-        dataset = ClaimDataset(_random_claims(random.Random(0)))
-        columnar = EvidenceCache(dataset, params=_params("columnar"))
-        listy = EvidenceCache(dataset, params=_params("list"))
-        assert resolve_posterior_backend("auto", columnar) == "batch"
-        assert resolve_posterior_backend("auto", listy) == "scalar"
-        assert resolve_posterior_backend("auto", None) == "scalar"
-        assert resolve_posterior_backend("scalar", columnar) == "scalar"
-        assert resolve_posterior_backend("batch", columnar) == "batch"
-
-    def test_explicit_batch_on_list_store_raises(self):
-        dataset = ClaimDataset(_random_claims(random.Random(0)))
-        listy = EvidenceCache(dataset, params=_params("list"))
-        with pytest.raises(ParameterError):
-            resolve_posterior_backend("batch", listy)
-        with pytest.raises(ParameterError):
-            BatchedPosteriorEngine(listy, _params("list"))
-
-    def test_invalid_setting_raises(self):
-        with pytest.raises(ParameterError):
-            resolve_posterior_backend("simd", None)
-
+class TestPosteriorEngine:
     def test_engine_memoized_per_params(self):
         dataset = ClaimDataset(_random_claims(random.Random(0)))
         params = _params()
@@ -312,7 +270,7 @@ class TestHoistedValidation:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end: Depen and the streaming engine, batch vs scalar
+# end-to-end: Depen and the streaming engine vs the scalar oracle
 # ---------------------------------------------------------------------------
 
 
@@ -327,8 +285,6 @@ def _results_equal(a, b):
         assert ta.round_index == tb.round_index
         assert ta.accuracy_change == tb.accuracy_change
         assert ta.decisions_changed == tb.decisions_changed
-        assert ta.pairs_rescored == tb.pairs_rescored
-        assert ta.pairs_reused == tb.pairs_reused
 
 
 def _graphs_equal(a, b):
@@ -347,80 +303,50 @@ class TestEndToEnd:
     def test_depen_batch_equals_scalar(self, model):
         dataset = ClaimDataset(_random_claims(random.Random(37)))
         iteration = IterationParams(max_rounds=6, fail_on_max_rounds=False)
-        results = {}
-        for backend in ("batch", "scalar"):
-            params = _params(posterior_backend=backend, **model)
-            results[backend] = Depen(params, iteration).discover(dataset)
-        _results_equal(results["batch"], results["scalar"])
-        _graphs_equal(
-            results["batch"].dependence, results["scalar"].dependence
-        )
-
-    def test_depen_dict_truth_backend_with_batch(self):
-        dataset = ClaimDataset(_random_claims(random.Random(41)))
-        iteration = IterationParams(max_rounds=4, fail_on_max_rounds=False)
-        results = {}
-        for backend in ("batch", "scalar"):
-            params = _params(
-                posterior_backend=backend, truth_backend="dict"
-            )
-            results[backend] = Depen(params, iteration).discover(dataset)
-        _results_equal(results["batch"], results["scalar"])
-
-    def test_depen_list_store_auto_resolves_scalar(self):
-        # auto on a list entry store must quietly stay on the scalar
-        # reference, matching the columnar/batch result bitwise.
-        dataset = ClaimDataset(_random_claims(random.Random(43)))
-        iteration = IterationParams(max_rounds=4, fail_on_max_rounds=False)
-        listy = Depen(_params("list"), iteration).discover(dataset)
-        columnar = Depen(_params("columnar"), iteration).discover(dataset)
-        assert listy.decisions == columnar.decisions
-        assert listy.distributions == columnar.distributions
-        assert listy.accuracies == columnar.accuracies
+        params = _params(**model)
+        batch = Depen(params, iteration).discover(dataset)
+        scalar = depen_oracle(dataset, params, iteration)
+        _results_equal(batch, scalar)
+        _graphs_equal(batch.dependence, scalar.dependence)
 
     def test_discover_dependence_batch_equals_scalar(self):
         rng = random.Random(47)
         dataset = ClaimDataset(_random_claims(rng))
         probs = uniform_value_probabilities(dataset)
         accs = _random_accuracies(rng, dataset)
-        graphs = {}
-        for backend in ("batch", "scalar"):
-            graphs[backend] = discover_dependence(
-                dataset, probs, accs, _params(posterior_backend=backend)
-            )
-        _graphs_equal(graphs["batch"], graphs["scalar"])
+        params = _params()
+        batch = discover_dependence(dataset, probs, accs, params)
+        scalar = posterior_graph(
+            EvidenceCache(dataset, params=params), probs, accs, params
+        )
+        _graphs_equal(batch, scalar)
 
     @pytest.mark.parametrize("model", ALL_MODEL_PARAMS)
     def test_streaming_restricted_batch_equals_scalar(self, model):
         rng = random.Random(53)
         claims = _random_claims(rng, n_sources=9, n_objects=30, coverage=16)
         batches = [claims[i::3] for i in range(3)]
-        engines = {
-            backend: StreamingDependenceEngine(
-                params=_params(posterior_backend=backend, **model)
-            )
-            for backend in ("batch", "scalar")
-        }
+        params = _params(**model)
+        engine = StreamingDependenceEngine(params=params)
         accs = None
         for i, batch in enumerate(batches):
-            for backend, engine in engines.items():
-                engine.ingest(batch)
-                engine.discover(accuracies=accs)
-            stats = {
-                backend: engine.last_discover_stats
-                for backend, engine in engines.items()
-            }
-            assert stats["batch"] == stats["scalar"], f"batch {i}"
-            _graphs_equal(engines["batch"].graph, engines["scalar"].graph)
+            engine.ingest(batch)
+            used = dict(accs) if accs is not None else engine.accuracies
+            engine.discover(accuracies=accs)
+            # The restricted re-score reuses posteriors; the oracle
+            # re-scores every pair with the same clamped accuracies.
+            clamped = {s: min(0.99, max(0.01, a)) for s, a in used.items()}
+            reference = posterior_graph(
+                engine.cache,
+                uniform_value_probabilities(engine.dataset),
+                clamped,
+                params,
+            )
+            _graphs_equal(engine.graph, reference)
             if i == 1:
                 # Perturb a few accuracies so the restricted path's
                 # changed-endpoint selection is exercised.
-                accs = engines["batch"].accuracies
+                accs = engine.accuracies
                 for s in rng.sample(sorted(accs), 3):
                     accs[s] = rng.uniform(0.2, 0.9)
-        final = {
-            backend: engine.last_discover_stats
-            for backend, engine in engines.items()
-        }
-        assert final["batch"]["restricted"]
-        assert final["batch"] == final["scalar"]
+        assert engine.last_discover_stats["restricted"]

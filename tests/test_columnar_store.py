@@ -1,15 +1,16 @@
 """The columnar entry store: bit-for-bit equivalence and repair mechanics.
 
-The contract of :mod:`repro.dependence.entrystore` +
-``EvidenceCache(entry_store=...)``: the physical layout of the agreement
-structure is execution policy. For every model combination, every
-backend, every ingest interleaving — including in-place tombstone
-repair and compaction — the ``"columnar"`` store serves evidence
-bit-for-bit identical to the ``"list"`` reference layout (whose own
-fidelity against the per-pair reference walk is pinned by
-``tests/test_dependence_evidence.py``). Also covered here: the
-persistent worker pool, the ``DependenceParams`` environment-override
-hook, and the collectors' :class:`~repro.dependence.entrystore.PackedRecords`.
+The contract of :mod:`repro.dependence.entrystore` behind
+:class:`~repro.dependence.evidence.EvidenceCache`: the physical layout
+of the agreement structure is never observable. For every model
+combination, every backend, every ingest interleaving — including
+in-place tombstone repair and compaction — each pair's served
+``kt``/``kf``/``kd``/``shared_count`` are bit-for-bit those of the
+per-pair reference walk (:func:`~repro.dependence.bayes.collect_evidence`),
+and an incrementally synced cache serves exactly what a cold one does.
+Also covered here: the persistent worker pool, the ``DependenceParams``
+environment-override hook, and the collectors'
+:class:`~repro.dependence.entrystore.PackedRecords`.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams
 from repro.dependence import entrystore
-from repro.dependence.bayes import uniform_value_probabilities
+from repro.dependence.bayes import collect_evidence, uniform_value_probabilities
 from repro.dependence.entrystore import ColumnarAgreeStore, PackedRecords
 from repro.dependence.evidence import EvidenceCache
-from repro.dependence.sharding import ParallelSweepExecutor, SweepConfig
+from repro.dependence.sharding import SweepConfig
 from repro.dependence.streaming import StreamingDependenceEngine
 from repro.exceptions import ParameterError
 
@@ -51,6 +52,31 @@ def _random_claims(rng, n_sources=12, n_objects=40, coverage=25, n_values=3):
             )
     rng.shuffle(claims)
     return claims
+
+
+def _capped(dataset, cap):
+    """The dataset as the evidence engine sees it under a provider cap:
+    each object keeps only its first ``cap`` providers in sorted order."""
+    if cap is None:
+        return dataset
+    kept = {
+        obj: set(sorted(dataset.claims_about_view(obj))[:cap])
+        for obj in dataset.objects
+    }
+    return ClaimDataset([c for c in dataset if c.source in kept[c.object]])
+
+
+def _assert_matches_per_pair_walk(served, dataset, probs, cap=None):
+    """Every served pair's aggregate counts equal ``collect_evidence``'s
+    bit for bit, and the pair set is the co-coverage pair set."""
+    reference = _capped(dataset, cap)
+    assert sorted(served) == sorted(reference.co_coverage_counts(1))
+    for (s1, s2), evidence in served.items():
+        walk = collect_evidence(reference, s1, s2, probs)
+        assert evidence.kt_soft == walk.kt_soft, (s1, s2)
+        assert evidence.kf_soft == walk.kf_soft, (s1, s2)
+        assert evidence.kd == walk.kd, (s1, s2)
+        assert evidence.shared_count == walk.shared_count, (s1, s2)
 
 
 class TestStoreUnit:
@@ -228,62 +254,41 @@ class TestStoreUnit:
 @pytest.mark.parametrize("model", ALL_MODEL_PARAMS)
 @pytest.mark.parametrize("exact", [False, True])
 def test_columnar_equals_list_reference_cold(model, exact):
+    """Cold builds, serial and sharded, against the per-pair list walk."""
     rng = random.Random(3)
     dataset = ClaimDataset(_random_claims(rng))
     probs = uniform_value_probabilities(dataset)
-    reference = EvidenceCache(
-        dataset,
-        params=DependenceParams(entry_store="list", **QUIET, **model),
-        exact=exact,
-    ).collect_all(probs)
+    served = {}
     for backend in ("serial", "numpy"):
-        cache = EvidenceCache(
+        served[backend] = EvidenceCache(
             dataset,
             params=DependenceParams(
-                entry_store="columnar",
-                parallel_backend=backend,
-                **QUIET,
-                **model,
+                parallel_backend=backend, **QUIET, **model
             ),
             exact=exact,
-        )
-        assert cache.entry_store == "columnar"
-        assert cache.collect_all(probs) == reference, backend
+        ).collect_all(probs)
+    assert served["numpy"] == served["serial"]
+    _assert_matches_per_pair_walk(served["serial"], dataset, probs)
 
 
 @pytest.mark.parametrize("model", ALL_MODEL_PARAMS)
 def test_columnar_equals_list_reference_interleaved_ingest(model):
+    """A synced cache equals a cold one and the per-pair list walk."""
     rng = random.Random(23)
     claims = _random_claims(rng)
-    cap = {"max_providers_per_object": 5}  # exercise removal/retire paths
-    list_dataset, columnar_dataset = ClaimDataset(), ClaimDataset()
-    list_cache = EvidenceCache(
-        list_dataset,
-        params=DependenceParams(entry_store="list", **QUIET, **cap, **model),
+    cap = 5  # exercise removal/retire paths
+    params = DependenceParams(
+        max_providers_per_object=cap, **QUIET, **model
     )
-    columnar_cache = EvidenceCache(
-        columnar_dataset,
-        params=DependenceParams(
-            entry_store="columnar", **QUIET, **cap, **model
-        ),
-    )
+    dataset = ClaimDataset()
+    cache = EvidenceCache(dataset, params=params)
     for batch in (claims[:120], claims[120:150], claims[150:230], claims[230:]):
-        list_dataset.add_claims(batch)
-        columnar_dataset.add_claims(batch)
-        probs = uniform_value_probabilities(list_dataset)
-        cold = EvidenceCache(
-            ClaimDataset(list(list_dataset)),
-            params=DependenceParams(
-                entry_store="columnar", **QUIET, **cap, **model
-            ),
-        )
-        reference = list_cache.collect_all(probs)
-        assert columnar_cache.collect_all(probs) == reference
-        assert cold.collect_all(probs) == reference
-        assert sorted(columnar_cache.pairs) == sorted(list_cache.pairs)
-        assert columnar_cache.dirty_pairs() == list_cache.dirty_pairs()
-        columnar_cache.clear_dirty_pairs()
-        list_cache.clear_dirty_pairs()
+        dataset.add_claims(batch)
+        probs = uniform_value_probabilities(dataset)
+        cold = EvidenceCache(ClaimDataset(list(dataset)), params=params)
+        served = cache.collect_all(probs)
+        assert served == cold.collect_all(probs)
+        _assert_matches_per_pair_walk(served, dataset, probs, cap)
 
 
 def test_compaction_under_churn_stays_equivalent():
@@ -292,7 +297,6 @@ def test_compaction_under_churn_stays_equivalent():
     rng = random.Random(5)
     claims = _random_claims(rng, n_sources=14, coverage=30)
     params = DependenceParams(
-        entry_store="columnar",
         max_providers_per_object=4,  # prefix churn drives removals
         **QUIET,
     )
@@ -318,7 +322,7 @@ def test_compaction_under_churn_stays_equivalent():
 def test_explicit_compact_is_invisible():
     rng = random.Random(9)
     dataset = ClaimDataset(_random_claims(rng))
-    params = DependenceParams(entry_store="columnar", **QUIET)
+    params = DependenceParams(**QUIET)
     cache = EvidenceCache(dataset, params=params)
     probs = uniform_value_probabilities(dataset)
     before = cache.collect_all(probs)
@@ -343,7 +347,7 @@ class TestPersistentPool:
         dataset = ClaimDataset(_random_claims(rng))
         probs = uniform_value_probabilities(dataset)
         reference = EvidenceCache(
-            dataset, params=DependenceParams(entry_store="list", **QUIET)
+            dataset, params=DependenceParams(**QUIET)
         ).collect_all(probs)
         with EvidenceCache(dataset, params=self._params()) as cache:
             assert cache.collect_all(probs) == reference
@@ -369,25 +373,13 @@ class TestPersistentPool:
             engine.discover()
             reference = StreamingDependenceEngine(
                 dataset=ClaimDataset(list(engine.dataset)),
-                params=DependenceParams(entry_store="list", **QUIET),
+                params=DependenceParams(**QUIET),
             )
             reference.ingest([])
             full = reference.discover()
             assert len(graph) <= len(full)  # graph from first batch only
             for pair in engine.graph:
                 assert full.get(pair.s1, pair.s2) == pair
-
-    def test_executor_persistent_lifecycle(self):
-        executor = ParallelSweepExecutor("process", 2, persistent=True)
-        results = executor.run(_double, [1, 2, 3])
-        assert results == [2, 4, 6]
-        pool = executor._pool
-        assert pool is not None
-        assert executor.run(_double, [5, 6]) == [10, 12]
-        assert executor._pool is pool
-        executor.close()
-        assert executor._pool is None
-        executor.close()  # idempotent
 
     def test_sweep_config_carries_pool_policy(self):
         config = SweepConfig("process", 2, pool="persistent")
@@ -400,21 +392,15 @@ class TestPersistentPool:
             DependenceParams(pool="forever")
 
 
-def _double(x):
-    return 2 * x
-
-
 class TestEnvOverrides:
     def test_env_replaces_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
         monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
         monkeypatch.setenv("REPRO_POOL", "persistent")
-        monkeypatch.setenv("REPRO_ENTRY_STORE", "list")
         params = DependenceParams()
         assert params.parallel_backend == "process"
         assert params.num_workers == 3
         assert params.pool == "persistent"
-        assert params.entry_store == "list"
 
     def test_explicit_arguments_beat_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
@@ -441,16 +427,12 @@ class TestEnvOverrides:
         dataset = ClaimDataset(_random_claims(rng))
         probs = uniform_value_probabilities(dataset)
         reference = EvidenceCache(
-            dataset, params=DependenceParams(entry_store="list", **QUIET)
+            dataset, params=DependenceParams(**QUIET)
         ).collect_all(probs)
         monkeypatch.setenv("REPRO_PARALLEL_BACKEND", "process")
         monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
         cache = EvidenceCache(dataset, params=DependenceParams(**QUIET))
         assert cache.collect_all(probs) == reference
-
-    def test_entry_store_validation(self):
-        with pytest.raises(ParameterError):
-            DependenceParams(entry_store="rows")
 
 
 class TestPackedRecords:

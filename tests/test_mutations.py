@@ -24,7 +24,6 @@ from repro.core.claims import Claim
 from repro.core.dataset import (
     ABSENT,
     ClaimDataset,
-    IngestDelta,
     MutationBatch,
     MutationDelta,
 )
@@ -37,9 +36,7 @@ from repro.exceptions import DataError
 from repro.session import Session
 from repro.truth.accu import Accu
 
-REFERENCE_PARAMS = DependenceParams(
-    parallel_backend="serial", entry_store="list"
-)
+REFERENCE_PARAMS = DependenceParams(parallel_backend="serial")
 
 
 def _assert_same_evidence(incremental, cold, context=""):
@@ -204,24 +201,12 @@ class TestMutationBatchApi:
         assert delta.retracted == 1 and delta.added == 1
         assert tiny_dataset.value_of("C", "o1") == "z"
 
-    def test_delta_is_the_ingest_delta_type(self, tiny_dataset):
-        # The pre-mutation-algebra name stays importable and identical.
-        assert IngestDelta is MutationDelta
-        delta = tiny_dataset.add_claims(
-            [Claim(source="E", object="o1", value="x")]
-        )
-        assert isinstance(delta, IngestDelta)
-
     def test_top_level_exports(self):
         assert repro.MutationBatch is MutationBatch
         assert repro.MutationDelta is MutationDelta
         assert repro.ABSENT is ABSENT
         for name in ("Mutation", "MutationBatch", "MutationDelta", "ABSENT"):
             assert name in repro.__all__
-
-    def test_deprecated_top_level_ingest_delta_warns(self):
-        with pytest.warns(DeprecationWarning, match="MutationDelta"):
-            assert repro.IngestDelta is MutationDelta
 
 
 class TestMutationLogSemantics:
@@ -265,19 +250,13 @@ class TestMutationLogSemantics:
             tiny_dataset.mutations_since(0)
 
 
-BACKENDS = [
-    ("serial", "list"),
-    ("serial", "columnar"),
-    ("numpy", "list"),
-    ("numpy", "columnar"),
-    ("resident", "columnar"),
-]
+BACKENDS = ["serial", "numpy", "resident"]
 
 
 class TestMutationSyncEquivalence:
     """sync() after any add/retract/correct mix == cold rebuild."""
 
-    @pytest.mark.parametrize("backend,entry_store", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS)
     @given(seed=st.integers(0, 10**6))
     @settings(
         max_examples=5,
@@ -287,16 +266,10 @@ class TestMutationSyncEquivalence:
             HealthCheck.function_scoped_fixture,
         ],
     )
-    def test_mutation_mix_matches_cold_rebuild(
-        self, backend, entry_store, seed
-    ):
+    def test_mutation_mix_matches_cold_rebuild(self, backend, seed):
         rng = random.Random(seed)
         dataset = ClaimDataset(_seed_claims(rng))
-        params = DependenceParams(
-            parallel_backend=backend,
-            entry_store=entry_store,
-            num_workers=2,
-        )
+        params = DependenceParams(parallel_backend=backend, num_workers=2)
         cache = EvidenceCache(dataset, params=params, exact=True)
         try:
             for round_no in range(3):
@@ -309,7 +282,7 @@ class TestMutationSyncEquivalence:
                 _assert_same_evidence(
                     cache.collect_all(probs),
                     cold.collect_all(probs),
-                    context=f"{backend}/{entry_store} round {round_no}",
+                    context=f"{backend} round {round_no}",
                 )
         finally:
             cache.close()
@@ -333,9 +306,7 @@ class TestMutationSyncEquivalence:
         table = {"o1": {f"S{i}": "x" for i in range(6)}}
         dataset = ClaimDataset.from_table(table)
         params = DependenceParams(
-            max_providers_per_object=4,
-            parallel_backend="serial",
-            entry_store="list",
+            max_providers_per_object=4, parallel_backend="serial"
         )
         cache = EvidenceCache(dataset, params=params, exact=True)
         cache.refresh(uniform_value_probabilities(dataset))
@@ -356,13 +327,10 @@ class TestCorrectionStorm:
         dataset = ClaimDataset(
             _seed_claims(rng, n_sources=6, n_objects=8, coverage=8)
         )
-        params = DependenceParams(
-            parallel_backend="serial", entry_store="columnar"
-        )
+        params = DependenceParams(parallel_backend="serial")
         cache = EvidenceCache(dataset, params=params, exact=True)
         cache.sync()
         store = cache._store
-        assert store is not None
         keys = sorted((c.source, c.object) for c in dataset)
         for round_no in range(60):
             # The storm: the same claims corrected over and over.

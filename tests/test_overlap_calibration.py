@@ -24,6 +24,7 @@ from repro.dependence.graph import discover_dependence
 from repro.exceptions import OverlapCalibrationWarning, ParameterError
 from repro.generators import simple_copier_world
 from repro.truth import Depen
+from truth_oracle import depen_oracle
 
 
 @pytest.fixture(scope="module")
@@ -219,20 +220,16 @@ class TestOverlapPolicy:
             )
 
     def test_auto_through_depen_both_truth_backends(self, big_world):
-        """The policy composes with the iterative loop and both truth
-        backends agree bitwise on its results."""
+        """The policy composes with the iterative loop, and the columnar
+        rounds agree bitwise with the dict oracle on its results."""
         dataset, _ = big_world
         it = IterationParams(max_rounds=3)
-        results = {
-            backend: Depen(
-                DependenceParams(overlap_policy="auto", truth_backend=backend),
-                it,
-            ).discover(dataset)
-            for backend in ("dict", "columnar")
-        }
-        assert results["dict"].decisions == results["columnar"].decisions
-        assert results["dict"].distributions == results["columnar"].distributions
-        assert results["dict"].accuracies == results["columnar"].accuracies
+        params = DependenceParams(overlap_policy="auto")
+        columnar = Depen(params, it).discover(dataset)
+        reference = depen_oracle(dataset, params, it)
+        assert reference.decisions == columnar.decisions
+        assert reference.distributions == columnar.distributions
+        assert reference.accuracies == columnar.accuracies
 
 
 class TestOverDetectionDocumented:

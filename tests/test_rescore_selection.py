@@ -42,14 +42,7 @@ TOLERANCES = [0.0, 1e-4]
 
 
 def _params(model):
-    # Pinned explicitly: the env overrides that move default-valued
-    # backends onto the reference paths would bypass the selection.
-    fields = {
-        "overlap_warning_bound": None,
-        "entry_store": "columnar",
-        "truth_backend": "columnar",
-        "posterior_backend": "batch",
-    }
+    fields = {"overlap_warning_bound": None}
     fields.update(model)
     return DependenceParams(**fields)
 

@@ -1,7 +1,6 @@
 """repro.Session facade: lifecycle, policy normalization, async serving."""
 
 import asyncio
-import warnings
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.core.params import DependenceParams, IterationParams
 from repro.exceptions import ParameterError, ServeError
 from repro.generators import simple_copier_world
 from repro.serve import ServingEngine
-from repro.truth.accu import Accu
 from repro.truth.depen import Depen
 
 
@@ -29,23 +27,31 @@ def world():
 
 
 def test_policy_keywords_fold_into_params():
-    session = repro.Session(
-        truth_backend="dict",
-        posterior_backend="scalar",
-        entry_store="list",
-    )
-    assert session.params.truth_backend == "dict"
-    assert session.params.posterior_backend == "scalar"
-    assert session.params.entry_store == "list"
+    session = repro.Session(num_workers=3, pool="persistent", max_retries=5)
+    assert session.params.num_workers == 3
+    assert session.params.pool == "persistent"
+    assert session.params.max_retries == 5
     session.close()
 
 
 def test_explicit_keyword_beats_params_field():
-    base = DependenceParams(truth_backend="dict")
-    session = repro.Session(params=base, truth_backend="columnar")
-    assert session.params.truth_backend == "columnar"
-    assert base.truth_backend == "dict"  # the passed params are untouched
+    base = DependenceParams(num_workers=3)
+    session = repro.Session(params=base, num_workers=2)
+    assert session.params.num_workers == 2
+    assert base.num_workers == 3  # the passed params are untouched
     session.close()
+
+
+@pytest.mark.parametrize(
+    "keyword", ["entry_store", "truth_backend", "posterior_backend"]
+)
+def test_removed_policy_keywords_rejected(keyword):
+    # Each DEPEN layer has one production path: the old execution
+    # choices are not fields, nor session keywords, any more.
+    with pytest.raises(TypeError):
+        DependenceParams(**{keyword: "auto"})
+    with pytest.raises(ParameterError, match="unknown Session keyword"):
+        repro.Session(**{keyword: "auto"})
 
 
 def test_unknown_policy_keyword_rejected_eagerly():
@@ -476,29 +482,10 @@ def test_session_execution_health_surfaces_supervisor(world):
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims
+# top-level namespace
 # ---------------------------------------------------------------------------
-
-
-def test_top_level_discover_dependence_warns(world):
-    dataset, _ = world
-    with pytest.warns(DeprecationWarning, match="Session.discover"):
-        fn = repro.discover_dependence
-    from repro.dependence import discover_dependence
-
-    assert fn is discover_dependence
 
 
 def test_unknown_top_level_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute"):
         repro.not_a_thing  # noqa: B018
-
-
-def test_accu_backend_keyword_warns(world):
-    dataset, _ = world
-    with pytest.warns(DeprecationWarning, match="truth_backend"):
-        accu = Accu(backend="dict")
-    assert accu.truth_backend == "dict"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        Accu(truth_backend="dict")  # the new spelling is silent

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.claims import Claim
 from repro.core.dataset import ClaimDataset
 from repro.core.params import DependenceParams, IterationParams
-from repro.dependence.bayes import uniform_value_probabilities
+from repro.dependence.bayes import collect_evidence, uniform_value_probabilities
 from repro.dependence.evidence import EvidenceCache
 from repro.dependence.opinions import (
     RaterPairCollector,
@@ -167,12 +167,16 @@ class TestSnapshotInvariance:
         probs = uniform_value_probabilities(dataset)
         serial = EvidenceCache(dataset, params=DependenceParams(**model))
         reference = serial.collect_all(probs)
-        # The pure-Python list layout is the root reference; the default
-        # (columnar) serial build must already match it bit for bit.
-        list_store = EvidenceCache(
-            dataset, params=DependenceParams(entry_store="list", **model)
-        )
-        assert list_store.collect_all(probs) == reference
+        # The per-pair walk is the root reference; the serial build must
+        # already match its aggregate counts bit for bit.
+        for (s1, s2), evidence in reference.items():
+            walk = collect_evidence(dataset, s1, s2, probs)
+            assert (
+                evidence.kt_soft,
+                evidence.kf_soft,
+                evidence.kd,
+                evidence.shared_count,
+            ) == (walk.kt_soft, walk.kf_soft, walk.kd, walk.shared_count)
         for backend in SHARDED_BACKENDS:
             for workers in WORKER_COUNTS:
                 cache = EvidenceCache(
@@ -844,11 +848,9 @@ def test_property_worker_count_invariance_with_ingest(table):
     engines["persistent-pool"] = StreamingDependenceEngine(
         params=_parallel("process", 2, 3, pool="persistent")
     )
-    # The reference: serial backend over the list-based entry store —
-    # the layout every vectorised path must reproduce bit for bit.
-    serial_engine = StreamingDependenceEngine(
-        params=DependenceParams(entry_store="list")
-    )
+    # The reference: the serial backend, which every sharded and
+    # vectorised path must reproduce bit for bit.
+    serial_engine = StreamingDependenceEngine(params=DependenceParams())
     try:
         for batch in (claims[:split], claims[split:]):
             serial_engine.ingest(batch)

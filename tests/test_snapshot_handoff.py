@@ -23,11 +23,9 @@ from repro.serve import Snapshot, load_snapshot, save_snapshot
 from repro.truth import Accu, Depen, NaiveVote, TruthResult
 from repro.truth.base import ColumnarTruth
 from repro.truth.columnar import ValueProbTable
+from truth_oracle import accu_oracle, depen_oracle
 
 DEP_FIELDS = ("pair_s1", "pair_s2", "p_dependent", "p_s1_copies", "p_s2_copies")
-#: The columnar hand-off under test, pinned against the suite-wide
-#: backend env overrides (which only replace default-valued fields).
-COLUMNAR = {"truth_backend": "columnar", "posterior_backend": "batch"}
 
 
 @pytest.fixture(scope="module")
@@ -63,16 +61,18 @@ def _assert_bitwise(a: dict, b: dict):
         assert a[name].tobytes() == b[name].tobytes(), name
 
 
+class _DictDepen:
+    """The dict DEPEN oracle behind the ``discover`` interface: a
+    dict-only result with an eager dependence graph."""
+
+    def discover(self, dataset):
+        return depen_oracle(dataset, DependenceParams(), min_overlap=5)
+
+
 ALGORITHMS = {
-    "depen": lambda: Depen(DependenceParams(**COLUMNAR), min_overlap=5),
-    "depen-scalar-posterior": lambda: Depen(
-        DependenceParams(truth_backend="columnar", posterior_backend="scalar"),
-        min_overlap=5,
-    ),
-    "depen-dict-truth": lambda: Depen(
-        DependenceParams(truth_backend="dict"), min_overlap=5
-    ),
-    "accu": lambda: Accu(truth_backend="columnar"),
+    "depen": lambda: Depen(DependenceParams(), min_overlap=5),
+    "depen-dict-truth": _DictDepen,
+    "accu": lambda: Accu(),
     "vote": lambda: NaiveVote(),
 }
 
@@ -90,7 +90,6 @@ def test_columnar_producers_hand_off_columnar_form(world):
         return ALGORITHMS[name]().discover(world)
 
     assert run("depen").columnar.pairs is not None
-    assert run("depen-scalar-posterior").columnar.pairs is None
     assert run("accu").columnar is not None
     assert run("depen-dict-truth").columnar is None
     assert run("vote").columnar is None
@@ -101,7 +100,7 @@ def test_depen_backends_freeze_identically(world):
         Snapshot.from_result(
             world, ALGORITHMS[name]().discover(world), round_id=1
         ).fingerprint()
-        for name in ("depen", "depen-scalar-posterior", "depen-dict-truth")
+        for name in ("depen", "depen-dict-truth")
     }
     assert len(prints) == 1
 
@@ -146,9 +145,7 @@ def test_columnar_export_orients_reversed_keys():
 
 def test_lazy_forms_equal_eager_ones(world):
     lazy = ALGORITHMS["depen"]().discover(world)
-    eager = Depen(
-        DependenceParams(truth_backend="dict"), min_overlap=5
-    ).discover(world)
+    eager = ALGORITHMS["depen-dict-truth"]().discover(world)
     assert lazy._decisions is None and lazy._distributions is None
     assert lazy._dependence is None and lazy.has_dependence
     assert lazy.decisions == eager.decisions
@@ -161,7 +158,7 @@ def test_lazy_forms_equal_eager_ones(world):
     assert lazy.dependence is lazy.dependence
 
     accu = ALGORITHMS["accu"]().discover(world)
-    accu_dict = Accu(truth_backend="dict").discover(world)
+    accu_dict = accu_oracle(world)
     assert accu.decisions == accu_dict.decisions
     assert accu.distributions == accu_dict.distributions
     assert accu.dependence is None and not accu.has_dependence
@@ -238,7 +235,7 @@ def test_columnar_form_bound_to_another_dataset_is_refused():
     dataset = ClaimDataset(_small_claims())
     twin = ClaimDataset(_small_claims())
     assert twin.version == dataset.version
-    result = Depen(DependenceParams(**COLUMNAR)).discover(dataset)
+    result = Depen(DependenceParams()).discover(dataset)
     with pytest.raises(ServeError, match="another dataset"):
         Snapshot.from_result(twin, result)
     # Its dict-only copy carries no table, so it freezes over the twin.
@@ -265,7 +262,7 @@ def _count_calls(monkeypatch, cls, attr):
 def test_publish_builds_no_dict_or_graph_forms(world, monkeypatch):
     pairs_built = _count_calls(monkeypatch, PairDependence, "__post_init__")
     tables_built = _count_calls(monkeypatch, ValueProbTable, "__init__")
-    with repro.Session(dataset=world, min_overlap=5, **COLUMNAR) as session:
+    with repro.Session(dataset=world, min_overlap=5) as session:
         session.publish()
         assert len(pairs_built) == 0
         assert len(tables_built) == 1  # the truth round's own table
@@ -280,7 +277,7 @@ def test_publish_builds_no_dict_or_graph_forms(world, monkeypatch):
 
 
 def test_discover_after_run_truth_replaces_pending_graph(world):
-    with repro.Session(dataset=world, min_overlap=5, **COLUMNAR) as session:
+    with repro.Session(dataset=world, min_overlap=5) as session:
         session.run_truth()
         discovered = session.discover()
         assert session.graph is discovered

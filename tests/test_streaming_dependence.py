@@ -49,10 +49,6 @@ from repro.generators import (
 )
 from repro.temporal.lifespan import infer_timelines
 from repro.truth import Depen
-from repro.truth.vote_counting import (
-    VoteOrderCache,
-    all_discounted_vote_counts,
-)
 
 ALL_PARAMS = [
     DependenceParams(false_value_model=model, evidence_form=form)
@@ -421,53 +417,6 @@ class TestDepenEvidenceCacheInjection:
         cache = EvidenceCache(table1, params=DependenceParams())
         with pytest.raises(DataError, match="min_overlap"):
             Depen(min_overlap=3).discover(table1, evidence_cache=cache)
-
-
-class TestVoteOrderCache:
-    def _scores(self, accuracies):
-        return {s: 1.0 + i for i, s in enumerate(sorted(accuracies))}
-
-    def test_cached_counts_match_uncached(self, copier_world):
-        dataset, _ = copier_world
-        rng = random.Random(5)
-        accuracies = {s: rng.uniform(0.2, 0.95) for s in dataset.sources}
-        scores = {s: 0.5 + rng.random() for s in dataset.sources}
-        graph = discover_dependence(
-            dataset,
-            uniform_value_probabilities(dataset),
-            {s: 0.8 for s in dataset.sources},
-            DependenceParams(),
-        )
-        cache = VoteOrderCache(dataset)
-        plain = all_discounted_vote_counts(
-            dataset, scores, graph, 0.8, accuracies
-        )
-        cached = all_discounted_vote_counts(
-            dataset, scores, graph, 0.8, accuracies, order_cache=cache
-        )
-        assert plain == cached
-        # Second round with identical ranking: served from cache, equal.
-        again = all_discounted_vote_counts(
-            dataset, scores, graph, 0.8, accuracies, order_cache=cache
-        )
-        assert again == plain
-
-    def test_invalidates_on_rank_change_and_ingest(self, tiny_dataset):
-        cache = VoteOrderCache(tiny_dataset)
-        orders = cache.orderings({"A": 0.9, "B": 0.5, "C": 0.3})
-        assert orders["o1"][0][1][0] == "A"  # most accurate first
-        same_rank = cache.orderings({"A": 0.8, "B": 0.45, "C": 0.29})
-        assert same_rank is orders  # rank order unchanged: reuse
-        flipped = cache.orderings({"A": 0.4, "B": 0.5, "C": 0.3})
-        assert flipped is not orders
-        assert flipped["o1"][0][1][0] == "B"
-        tiny_dataset.add_claims([Claim(source="D", object="o1", value="x")])
-        after_ingest = cache.orderings(
-            {"A": 0.4, "B": 0.5, "C": 0.3, "D": 0.2}
-        )
-        assert after_ingest is not flipped
-        providers = {s for _, ps in after_ingest["o1"] for s in ps}
-        assert "D" in providers
 
 
 class TestTemporalCollectorEquivalence:

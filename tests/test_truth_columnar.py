@@ -1,10 +1,10 @@
-"""Columnar truth backend: bit-for-bit equivalence with the dict path.
+"""Columnar truth rounds: bit-for-bit equivalence with the dict oracle.
 
 The contract of :mod:`repro.truth.columnar`: the array-native truth
-rounds (``truth_backend="columnar"``) produce **bit-for-bit identical**
+rounds of ``Depen`` and ``Accu`` produce **bit-for-bit identical**
 decisions, distributions, accuracies and round traces to the
-pure-Python dict reference, for every evidence model, both entry-store
-layouts, and under interleaved streaming ingest — plus the unit
+pure-Python dict loops of ``tests/truth_oracle.py``, for every evidence
+model and under interleaved streaming ingest — plus the unit
 behaviour of the :class:`~repro.truth.columnar.ValueProbTable` exchange
 format, the positional (probe-free) evidence-cache refresh it enables,
 and DEPEN's restricted in-round pair re-scoring built on its
@@ -29,23 +29,15 @@ from repro.dependence.graph import DependenceGraph
 from repro.dependence.streaming import StreamingDependenceEngine
 from repro.exceptions import DataError, ParameterError
 from repro.generators import simple_copier_world
-from repro.truth import (
-    Accu,
-    Depen,
-    ValueProbTable,
-    resolve_truth_backend,
-)
+from repro.truth import Accu, Depen, ValueProbTable
 from repro.truth import columnar
 from repro.truth.columnar import (
     TruthRoundEngine,
     _factor_geometry,
     dependence_matrix,
 )
-from repro.truth.vote_counting import (
-    VoteOrderCache,
-    all_discounted_vote_counts,
-    decide,
-)
+from repro.truth.vote_counting import all_discounted_vote_counts, decide
+from truth_oracle import accu_oracle, depen_oracle
 
 ALL_MODEL_PARAMS = [
     {"false_value_model": model, "evidence_form": form}
@@ -54,13 +46,8 @@ ALL_MODEL_PARAMS = [
 ]
 
 
-def _depen_params(backend, entry_store="auto", **model):
-    return DependenceParams(
-        truth_backend=backend,
-        entry_store=entry_store,
-        overlap_warning_bound=None,
-        **model,
-    )
+def _depen_params(**model):
+    return DependenceParams(overlap_warning_bound=None, **model)
 
 
 def _results_equal(a, b, *, compare_counters=False):
@@ -93,51 +80,6 @@ def _random_claims(rng, n_sources=10, n_objects=30, coverage=18, n_values=3):
             )
     rng.shuffle(claims)
     return claims
-
-
-# ---------------------------------------------------------------------------
-# backend resolution
-# ---------------------------------------------------------------------------
-
-
-class TestBackendResolution:
-    def test_auto_resolves_to_columnar_with_numpy(self):
-        assert resolve_truth_backend("auto") == "columnar"
-
-    def test_explicit_settings_pass_through(self):
-        assert resolve_truth_backend("dict") == "dict"
-        assert resolve_truth_backend("columnar") == "columnar"
-
-    def test_invalid_setting_raises(self):
-        with pytest.raises(ParameterError):
-            resolve_truth_backend("graph")
-
-    def test_params_validate_truth_backend(self):
-        with pytest.raises(ParameterError):
-            DependenceParams(truth_backend="graph")
-
-    def test_accu_validates_truth_backend(self):
-        with pytest.raises(ParameterError):
-            Accu(truth_backend="graph")
-
-    def test_env_override_on_default_params(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRUTH_BACKEND", "dict")
-        assert DependenceParams().truth_backend == "dict"
-        # An explicit non-default argument always wins.
-        assert (
-            DependenceParams(truth_backend="columnar").truth_backend
-            == "columnar"
-        )
-
-    def test_env_override_consulted_by_accu(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRUTH_BACKEND", "dict")
-        assert resolve_truth_backend("auto", consult_env=True) == "dict"
-        assert resolve_truth_backend("columnar", consult_env=True) == "columnar"
-
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRUTH_BACKEND", "graph")
-        with pytest.raises(ParameterError):
-            resolve_truth_backend("auto", consult_env=True)
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +164,9 @@ class TestValueProbTable:
 
 class TestEvidenceCacheTableRefresh:
     @pytest.mark.parametrize("model", ALL_MODEL_PARAMS)
-    @pytest.mark.parametrize("store", ["columnar", "list"])
-    def test_table_refresh_equals_dict_refresh(self, model, store):
+    def test_table_refresh_equals_dict_refresh(self, model):
         dataset = ClaimDataset(_random_claims(random.Random(3)))
-        params = DependenceParams(
-            entry_store=store, overlap_warning_bound=None, **model
-        )
+        params = DependenceParams(overlap_warning_bound=None, **model)
         probs = uniform_value_probabilities(dataset)
         dict_cache = EvidenceCache(dataset, params=params)
         reference = dict_cache.collect_all(probs)
@@ -279,12 +218,9 @@ class TestEvidenceCacheTableRefresh:
         with pytest.raises(DataError):
             cache.refresh([("o1", "x", 0.5)])
 
-    @pytest.mark.parametrize("store", ["columnar", "list"])
-    def test_pairs_with_moved_entries(self, store):
+    def test_pairs_with_moved_entries(self):
         dataset = ClaimDataset(_random_claims(random.Random(9)))
-        params = DependenceParams(
-            entry_store=store, overlap_warning_bound=None
-        )
+        params = DependenceParams(overlap_warning_bound=None)
         cache = EvidenceCache(dataset, params=params)
         table = ValueProbTable(dataset)
         before = cache.collect_all(table)
@@ -352,7 +288,7 @@ class TestEvidenceCacheTableRefresh:
 
 
 # ---------------------------------------------------------------------------
-# columnar-vs-dict equivalence: deterministic worlds
+# columnar rounds vs the dict oracle: deterministic worlds
 # ---------------------------------------------------------------------------
 
 
@@ -367,56 +303,39 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("model", ALL_MODEL_PARAMS)
     def test_depen_bitwise_equal(self, world, model):
         it = IterationParams(max_rounds=8)
-        dict_result = Depen(_depen_params("dict", **model), it).discover(world)
-        col_result = Depen(
-            _depen_params("columnar", **model), it
-        ).discover(world)
+        params = _depen_params(**model)
+        dict_result = depen_oracle(world, params, it)
+        col_result = Depen(params, it).discover(world)
         _results_equal(dict_result, col_result)
         # The dependence graphs agree too (same pairs, same posteriors).
         assert len(col_result.dependence) == len(dict_result.dependence)
         for pair in dict_result.dependence:
             assert col_result.dependence.get(pair.s1, pair.s2) == pair
 
-    def test_depen_equal_on_list_entry_store(self, world):
-        it = IterationParams(max_rounds=5)
-        dict_result = Depen(
-            _depen_params("dict", entry_store="list"), it
-        ).discover(world)
-        col_result = Depen(
-            _depen_params("columnar", entry_store="list"), it
-        ).discover(world)
-        _results_equal(dict_result, col_result)
-
     def test_accu_bitwise_equal(self, world):
-        _results_equal(
-            Accu(truth_backend="dict").discover(world),
-            Accu(truth_backend="columnar").discover(world),
-        )
+        _results_equal(accu_oracle(world), Accu().discover(world))
 
     def test_accu_equal_on_paper_table(self, table1):
-        _results_equal(
-            Accu(truth_backend="dict").discover(table1),
-            Accu(truth_backend="columnar").discover(table1),
-        )
+        _results_equal(accu_oracle(table1), Accu().discover(table1))
 
     def test_depen_equal_on_paper_table(self, table1):
         it = IterationParams(max_rounds=6)
         _results_equal(
-            Depen(_depen_params("dict"), it).discover(table1),
-            Depen(_depen_params("columnar"), it).discover(table1),
+            depen_oracle(table1, _depen_params(), it),
+            Depen(_depen_params(), it).discover(table1),
         )
 
     def test_depen_reproduces_table1_corrections(self, table1):
         # The paper's worked example still lands on the right values
-        # through the columnar backend.
-        result = Depen(_depen_params("columnar")).discover(table1)
+        # through the columnar rounds.
+        result = Depen(_depen_params()).discover(table1)
         assert result.decisions["Halevy"] == "Google"
         assert result.decisions["Dalvi"] == "Yahoo!"
         assert result.decisions["Dong"] == "AT&T"
 
 
 # ---------------------------------------------------------------------------
-# columnar-vs-dict equivalence: hypothesis property with ingest
+# columnar rounds vs the dict oracle: hypothesis property with ingest
 # ---------------------------------------------------------------------------
 
 
@@ -456,30 +375,24 @@ def claim_tables(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_property_backend_equivalence_with_ingest(table, data):
-    """Across every evidence model, both entry-store layouts, and
-    interleaved streaming ingest, the columnar backend's DEPEN run is
-    bit-for-bit the dict backend's."""
+    """Across every evidence model and interleaved streaming ingest, the
+    streaming engine's DEPEN run (synced evidence cache and truth
+    layout) is bit-for-bit the dict oracle's on the same dataset."""
     claims, split = table
     model = data.draw(st.sampled_from(ALL_MODEL_PARAMS))
-    store = data.draw(st.sampled_from(["columnar", "list"]))
     it = IterationParams(max_rounds=6)
-    engines = {
-        backend: StreamingDependenceEngine(
-            params=_depen_params(backend, entry_store=store, **model)
-        )
-        for backend in ("dict", "columnar")
-    }
+    engine = StreamingDependenceEngine(params=_depen_params(**model))
     for batch in (claims[:split], claims[split:]):
-        results = {}
-        for backend, engine in engines.items():
-            engine.ingest(batch)
-            if len(engine.dataset) == 0:
-                continue
-            results[backend] = engine.run_truth(
-                Depen(engine.params, it, min_overlap=engine.min_overlap)
-            )
-        if results:
-            _results_equal(results["dict"], results["columnar"])
+        engine.ingest(batch)
+        if len(engine.dataset) == 0:
+            continue
+        result = engine.run_truth(
+            Depen(engine.params, it, min_overlap=engine.min_overlap)
+        )
+        reference = depen_oracle(
+            engine.dataset, engine.params, it, engine.min_overlap
+        )
+        _results_equal(reference, result)
 
 
 @given(table=claim_tables())
@@ -487,10 +400,7 @@ def test_property_backend_equivalence_with_ingest(table, data):
 def test_property_accu_backend_equivalence(table):
     claims, _ = table
     dataset = ClaimDataset(claims)
-    _results_equal(
-        Accu(truth_backend="dict").discover(dataset),
-        Accu(truth_backend="columnar").discover(dataset),
-    )
+    _results_equal(accu_oracle(dataset), Accu().discover(dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +418,11 @@ class TestRestrictedRescoring:
 
     def test_counters_cover_every_pair(self, world):
         it = IterationParams(max_rounds=6)
-        result = Depen(_depen_params("columnar"), it).discover(world)
+        result = Depen(_depen_params(), it).discover(world)
         n_pairs = len(result.dependence)
         for trace in result.trace:
             assert trace.pairs_rescored + trace.pairs_reused == n_pairs
         assert result.trace[0].pairs_rescored == n_pairs  # first is full
-
-    def test_dict_backend_leaves_counters_unset(self, world):
-        it = IterationParams(max_rounds=3)
-        result = Depen(_depen_params("dict"), it).discover(world)
-        assert all(t.pairs_rescored is None for t in result.trace)
 
     def test_reuse_fires_in_settling_tail_and_stays_exact(self, world):
         it = IterationParams(
@@ -525,11 +430,12 @@ class TestRestrictedRescoring:
             accuracy_tolerance=1e-9,
             rescore_tolerance=1e-4,
         )
-        reference = Depen(
-            _depen_params("dict"),
+        reference = depen_oracle(
+            world,
+            _depen_params(),
             IterationParams(max_rounds=20, accuracy_tolerance=1e-9),
-        ).discover(world)
-        result = Depen(_depen_params("columnar"), it).discover(world)
+        )
+        result = Depen(_depen_params(), it).discover(world)
         reused = sum(t.pairs_reused for t in result.trace)
         assert reused > 0  # the restriction actually fires
         # Decisions are unaffected; accuracies within the documented
@@ -543,16 +449,16 @@ class TestRestrictedRescoring:
 
     def test_exact_default_is_bitwise(self, world):
         # rescore_tolerance=0.0 (default) reuses only bitwise-unchanged
-        # inputs, so results match the dict path exactly even when the
-        # restriction machinery runs.
+        # inputs, so results match the full-re-scoring oracle exactly
+        # even when the restriction machinery runs.
         it = IterationParams(max_rounds=10)
         _results_equal(
-            Depen(_depen_params("dict"), it).discover(world),
-            Depen(_depen_params("columnar"), it).discover(world),
+            depen_oracle(world, _depen_params(), it),
+            Depen(_depen_params(), it).discover(world),
         )
 
     def test_streaming_surfaces_truth_stats(self, world):
-        params = _depen_params("columnar")
+        params = _depen_params()
         engine = StreamingDependenceEngine(
             dataset=ClaimDataset(list(world)), params=params
         )
@@ -575,10 +481,10 @@ class TestRestrictedRescoring:
 
         The copier cluster keeps drifting for most of the run while the
         unanimous cluster freezes after two rounds — exactly the shape
-        where a per-pair baseline beats the shared one: the shared
-        baseline only resets on all-rescored rounds, which the
-        slow-settling cluster prevents, so its pairs stay marked dirty
-        forever once their accumulated drift passes the tolerance.
+        where a per-pair baseline pays off: a baseline shared by all
+        pairs would reset only on all-rescored rounds, which the
+        slow-settling cluster prevents, so its pairs would stay marked
+        dirty forever once their accumulated drift passes the tolerance.
         """
         dataset, _ = simple_copier_world(
             n_objects=80, n_independent=10, n_copiers=3, accuracy=0.8, seed=11
@@ -596,80 +502,24 @@ class TestRestrictedRescoring:
             rescore_tolerance=1e-4,
             fail_on_max_rounds=False,
         )
-        # The list entry store has no per-slot round stamps, so it runs
-        # the shared-baseline restriction — the comparison point.
-        shared = Depen(
-            _depen_params("columnar", entry_store="list"), it
-        ).discover(hetero_world)
-        per_pair = Depen(
-            _depen_params("columnar", entry_store="columnar"), it
-        ).discover(hetero_world)
-        shared_reused = [t.pairs_reused for t in shared.trace]
+        per_pair = Depen(_depen_params(), it).discover(hetero_world)
         per_pair_reused = [t.pairs_reused for t in per_pair.trace]
         # Pinned counts: the unanimous cluster's 6 pairs settle by round
-        # 3 under both schemes; from round 15 the copier cluster starts
-        # settling too, which only the per-pair baseline can exploit.
-        assert shared_reused == [0, 0] + [6] * 18
+        # 3 (a shared baseline reuses just those 6 per round from then
+        # on); from round 15 the copier cluster starts settling too,
+        # which only the per-pair baseline can exploit.
         assert per_pair_reused == (
             [0, 0] + [6] * 12 + [48, 42, 84, 48, 84, 84]
         )
-        assert sum(per_pair_reused) > sum(shared_reused)
-        assert all(
-            p >= s for p, s in zip(per_pair_reused, shared_reused)
-        )
         # Restriction never changes what DEPEN decides.
-        assert per_pair.decisions == shared.decisions
-
-
-# ---------------------------------------------------------------------------
-# VoteOrderCache: dirty-object re-sort on ingest
-# ---------------------------------------------------------------------------
-
-
-class TestVoteOrderCacheIngest:
-    def test_only_dirty_objects_resorted_on_version_bump(self):
-        claims = _random_claims(random.Random(13), n_objects=20)
-        dataset = ClaimDataset(claims[:120])
-        cache = VoteOrderCache(dataset)
-        accs = {s: 0.8 for s in dataset.sources}
-        # Force distinct ranks so the ranking is stable but non-trivial.
-        accs = {
-            s: 0.5 + i * 1e-3 for i, s in enumerate(sorted(accs))
-        }
-        before = cache.orderings(accs)
-        snapshot = {obj: order for obj, order in before.items()}
-        delta = dataset.add_claims(claims[120:])
-        after = cache.orderings(accs)
-        fresh = VoteOrderCache(dataset).orderings(accs)
-        assert after == fresh  # correctness: matches a cold re-sort
-        for obj, order in snapshot.items():
-            if obj not in delta.dirty_objects:
-                # Clean objects were not re-sorted: same list object.
-                assert after[obj] is order
-
-    def test_ranking_change_still_rebuilds_everything(self):
-        claims = _random_claims(random.Random(14), n_objects=10, coverage=8)
-        dataset = ClaimDataset(claims)
-        cache = VoteOrderCache(dataset)
-        accs = {s: 0.8 for s in dataset.sources}
-        first = cache.orderings(accs)
-        flipped = {
-            s: 0.9 - i * 1e-3 for i, s in enumerate(sorted(accs, reverse=True))
-        }
-        second = cache.orderings(flipped)
-        assert second == VoteOrderCache(dataset).orderings(flipped)
-        assert first == cache.orderings(accs)  # rank flip back re-sorts
-
-    def test_compacted_log_falls_back_to_full_rebuild(self):
-        claims = _random_claims(random.Random(15), n_objects=10, coverage=8)
-        dataset = ClaimDataset(claims[:60])
-        cache = VoteOrderCache(dataset)
-        accs = {s: 0.8 for s in {c.source for c in claims}}
-        cache.orderings(accs)
-        dataset.add_claims(claims[60:])
-        dataset.compact_log()  # strands the incremental delta
-        after = cache.orderings(accs)
-        assert after == VoteOrderCache(dataset).orderings(accs)
+        reference = depen_oracle(
+            hetero_world,
+            _depen_params(),
+            IterationParams(
+                max_rounds=20, accuracy_tolerance=1e-9, fail_on_max_rounds=False
+            ),
+        )
+        assert per_pair.decisions == reference.decisions
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +610,12 @@ class TestDepenVoteKernel:
         # A whole DEPEN run builds it once, however many rounds it takes.
         calls.clear()
         result = Depen(
-            _depen_params("columnar"), IterationParams(max_rounds=6)
+            _depen_params(), IterationParams(max_rounds=6)
         ).discover(dataset)
         assert result.rounds > 1 and len(calls) == 1
         # ACCU never discounts, so it never builds it.
         calls.clear()
-        Accu(truth_backend="columnar").discover(dataset)
+        Accu().discover(dataset)
         assert calls == []
 
     def test_multi_tie_decisions_match_dict_path(self):
