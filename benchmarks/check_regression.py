@@ -143,15 +143,6 @@ GATES: dict[str, list[tuple[str, Callable[[dict], float], str, float]]] = {
     ],
     "truth_round": [
         ("truth_round.speedup", lambda s: s["speedup"], "min", 2.5),
-        # DEPEN's in-round restricted re-scoring must actually fire:
-        # a settling run that reuses zero posteriors means the
-        # moved-entry tracking silently broke.
-        (
-            "truth_round.depen_restricted_rescore.reused",
-            lambda s: s["depen_restricted_rescore"]["reused"],
-            "min",
-            1.0,
-        ),
     ],
 }
 

@@ -4,9 +4,10 @@ Every batched kernel in this package is pinned bit for bit to a scalar
 reference: :class:`~repro.dependence.bayes_batch.BatchedPosteriorEngine`
 to :func:`~repro.dependence.bayes.pair_posterior`, and
 :class:`~repro.truth.columnar.TruthRoundEngine` to the dict-path vote
-helpers in :mod:`repro.truth.vote_counting`. Both sides of each pair
-take their transcendentals from this module, so which ``log``/``exp``
-the guarantee rests on is decided here and nowhere else.
+helpers of the test suite's oracle (``tests/truth_oracle.py``). Both
+sides of each pair take their transcendentals from this module, so
+which ``log``/``exp`` the guarantee rests on is decided here and
+nowhere else.
 
 That ``log``/``exp`` is numpy's:
 

@@ -315,21 +315,10 @@ _TEMPORAL_ENV_FIELDS = frozenset(name for name, _ in TEMPORAL_ENV_OVERRIDES)
 class IterationParams:
     """Convergence controls for iterative (truth, accuracy, dependence) loops.
 
-    ``rescore_tolerance`` controls DEPEN's restricted pair re-scoring
-    inside its own iterative rounds: a
-    pair's posterior is reused from the previous round when every truth
-    probability it depends on — its shared entries' and its endpoints'
-    clamped accuracies — has drifted at most this much since the last
-    round *that pair* was scored (drift accumulates against each pair's
-    own baseline, recorded as a per-slot round stamp in the
-    entry store, so reuse chains never compound past the bound and a
-    pair's baseline resets exactly when it is re-scored). The 0.0
-    default is *exact*: only bitwise unchanged inputs are reused, so
-    results stay bit-for-bit equal to re-scoring every pair each round
-    (the reference loop in ``tests/truth_oracle.py``). A small positive
-    tolerance (e.g. ``1e-9``) lets the tail rounds of a settling
-    iteration skip most posterior recomputation at a bounded,
-    documented approximation.
+    DEPEN re-scores every candidate pair in every round, as the
+    reference loop in ``tests/truth_oracle.py`` does; these fields only
+    decide where the iteration starts, how estimates are clamped and
+    when it stops.
     """
 
     max_rounds: int = 30
@@ -338,7 +327,6 @@ class IterationParams:
     accuracy_floor: float = 0.01
     accuracy_ceiling: float = 0.99
     fail_on_max_rounds: bool = False
-    rescore_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -346,10 +334,6 @@ class IterationParams:
         if self.accuracy_tolerance <= 0:
             raise ParameterError(
                 f"accuracy_tolerance must be > 0, got {self.accuracy_tolerance}"
-            )
-        if self.rescore_tolerance < 0:
-            raise ParameterError(
-                f"rescore_tolerance must be >= 0, got {self.rescore_tolerance}"
             )
         if not 0.0 < self.initial_accuracy < 1.0:
             raise ParameterError(

@@ -40,7 +40,8 @@ across CPUs (numpy picks its SIMD ``log``/``exp`` loop by CPU feature),
 as they already could across libm versions.
 
 This kernel is the only production posterior path: ``discover_dependence``,
-streaming restricted re-scoring and DEPEN's rounds all score through it.
+the streaming engine's re-scoring of dirty pairs between publishes and
+DEPEN's rounds all score through it.
 """
 
 from __future__ import annotations
@@ -108,20 +109,14 @@ class BatchedPosteriorEngine:
         shared_len = np.empty(n_pairs, dtype=np.int64)
         s1c = np.empty(n_pairs, dtype=np.int64)
         s2c = np.empty(n_pairs, dtype=np.int64)
-        start = np.empty(n_pairs, dtype=np.int64)
         for i, slot in enumerate(slots.values()):
             sid[i] = slot.sid
             kd[i] = slot.kd
             shared_len[i] = slot.length
             s1c[i] = code[slot.s1]
             s2c[i] = code[slot.s2]
-            start[i] = slot.start
         self._sid = sid
         self._kd = kd
-        # Segment geometry only moves inside sync(), which moves the
-        # structural key too, so it is as static as the sids.
-        self._start = start
-        self._length = shared_len
         self._s1c = s1c
         self._s2c = s2c
         # Per-pair mode lift of _slot_escaped: under overlap_policy=
@@ -165,35 +160,6 @@ class BatchedPosteriorEngine:
         """Per-position ``(s1, s2)`` source codes w.r.t. :attr:`sources`."""
         self._ensure_static()
         return self._s1c, self._s2c
-
-    def stamp_array(self):
-        """Per-position last-scored round stamps (0 = never scored)."""
-        self._ensure_static()
-        return self._cache._store.stamps[self._sid]
-
-    def stamp_positions(self, positions, round_index: int) -> None:
-        """Record that the pairs at ``positions`` were scored this round."""
-        self._ensure_static()
-        self._cache._store.set_stamps(self._sid[positions], round_index)
-
-    def moved_positions(self, moved, positions):
-        """Which of ``positions`` reference a moved agreement entry.
-
-        ``moved`` is a table-slot-indexed drift mask, widened exactly as
-        :meth:`~repro.dependence.evidence.EvidenceCache.pairs_with_moved_entries`
-        widens it; the result is a boolean array aligned with
-        ``positions``. Only those positions' live segments are scanned,
-        so a caller that has already settled most pairs by a cheaper
-        test pays for the rest alone.
-        """
-        self._ensure_static()
-        cache = self._cache
-        positions = np.asarray(positions, dtype=np.int64)
-        return cache._store.flagged_segments(
-            self._start[positions],
-            self._length[positions],
-            cache.moved_entry_mask(moved),
-        )
 
     # -- per-call inputs -------------------------------------------------
 

@@ -57,16 +57,9 @@ class ColumnarAgreeStore:
     allocated region — cells between ``length`` and ``cap`` are slack).
     The owning cache keeps the slot registry and the entry tables; the
     store owns only the segment geometry.
-
-    The store also carries one ``int64`` *round stamp* per slot id —
-    the iteration round the slot's pair was last scored at, backing
-    DEPEN's per-pair drift baselines. Stamps are data the store merely
-    hosts (the consumer writes and interprets them); a fresh or
-    backfilled slot starts at stamp 0 ("never scored") and compaction
-    carries stamps across the renumbering.
     """
 
-    __slots__ = ("_eids", "_sids", "_used", "_dead", "_n_sids", "_stamps", "_live")
+    __slots__ = ("_eids", "_sids", "_used", "_dead", "_n_sids", "_live")
 
     def __init__(self) -> None:
         self._eids = np.empty(0, dtype=np.int64)
@@ -74,7 +67,6 @@ class ColumnarAgreeStore:
         self._used = 0  # high-water mark; cells past it are untracked
         self._dead = 0  # tombstoned + slack cells below the mark
         self._n_sids = 0
-        self._stamps = np.empty(0, dtype=np.int64)
         self._live = None  # live()'s cached (sids, eids); None = stale
 
     # -- introspection (tests and compaction policy) --------------------
@@ -122,7 +114,6 @@ class ColumnarAgreeStore:
         self._used = total
         self._dead = 0
         self._n_sids = len(items)
-        self._stamps = np.zeros(len(items), dtype=np.int64)
 
     def adopt(self, eids, sids, n_sids: int) -> None:
         """Take ownership of pre-built record arrays (the sharded merge).
@@ -137,7 +128,6 @@ class ColumnarAgreeStore:
         self._used = int(self._eids.size)
         self._dead = 0
         self._n_sids = n_sids
-        self._stamps = np.zeros(n_sids, dtype=np.int64)
 
     def new_sid(self, slot) -> None:
         """Register a slot created after the pack (backfilled pair)."""
@@ -146,7 +136,6 @@ class ColumnarAgreeStore:
         slot.length = 0
         slot.cap = 0
         self._n_sids += 1
-        self._stamps = np.append(self._stamps, 0)
 
     # -- reads -----------------------------------------------------------
 
@@ -159,7 +148,7 @@ class ColumnarAgreeStore:
 
         Segment-contiguous, each segment's cells in object order — the
         canonical flat view every vectorised consumer (segment sums,
-        moved-pair flagging, the batched posterior kernel) reads.
+        the batched posterior kernel) reads.
 
         The pair is cached: views of the cell arrays while no cell below
         the high-water mark is dead, otherwise one compacted copy. Every
@@ -196,59 +185,6 @@ class ColumnarAgreeStore:
         kt = np.bincount(sids, weights=gathered, minlength=n)
         kf = np.bincount(sids, weights=1.0 - gathered, minlength=n)
         return kt, kf
-
-    def flagged_sids(self, entry_mask):
-        """Slot ids whose live segment references a flagged entry.
-
-        ``entry_mask`` is an entry-id-indexed boolean array (e.g. the
-        moved-entry mask a
-        :class:`~repro.truth.columnar.ValueProbTable` update produced,
-        gathered onto entry ids). One vectorised scan over the live
-        cells, flagged by a boolean scatter (no sort); the ids come
-        back ascending.
-        """
-        sids, eids = self.live()
-        hit = np.zeros(self._n_sids, dtype=bool)
-        hit[sids[entry_mask[eids]]] = True
-        return np.flatnonzero(hit)
-
-    def flagged_segments(self, starts, lengths, entry_mask):
-        """Per-segment flags: does ``eids[start:start+length]`` hit ``entry_mask``?
-
-        ``starts``/``lengths`` describe live segments (a slot's
-        ``start``/``length``), so only those segments' cells are read —
-        the restricted counterpart of :meth:`flagged_sids` for callers
-        that already know which slots are still in question.
-        """
-        lengths = np.asarray(lengths, dtype=np.int64)
-        hit = np.zeros(lengths.size, dtype=bool)
-        total = int(lengths.sum())
-        if total == 0:
-            return hit
-        owner = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-        # Cell index = segment start + offset within the segment.
-        offsets = np.cumsum(lengths) - lengths
-        cells = np.arange(total, dtype=np.int64) + (
-            np.asarray(starts, dtype=np.int64) - offsets
-        )[owner]
-        hit[owner[entry_mask[self._eids[cells]]]] = True
-        return hit
-
-    # -- round stamps -----------------------------------------------------
-
-    @property
-    def stamps(self):
-        """Per-sid round stamps (a view; 0 means never scored)."""
-        return self._stamps
-
-    def set_stamps(self, sids: Sequence[int], value: int) -> None:
-        """Stamp the given slot ids with the round ``value``."""
-        if len(sids):
-            self._stamps[np.asarray(sids, dtype=np.int64)] = value
-
-    def stamp_all(self, value: int) -> None:
-        """Stamp every live slot id with the round ``value``."""
-        self._stamps[:] = value
 
     # -- in-place repair --------------------------------------------------
 
@@ -347,11 +283,9 @@ class ColumnarAgreeStore:
         self._live = None
         live = list(slots)
         old = self._eids
-        old_stamps = self._stamps
         total = sum(slot.length for slot in live)
         eids = np.empty(total, dtype=np.int64)
         sids = np.empty(total, dtype=np.int64)
-        stamps = np.zeros(len(live), dtype=np.int64)
         cursor = 0
         for sid, slot in enumerate(live):
             n = slot.length
@@ -360,8 +294,6 @@ class ColumnarAgreeStore:
                     slot.start : slot.start + n
                 ]
                 sids[cursor : cursor + n] = sid
-            if slot.sid < old_stamps.size:
-                stamps[sid] = old_stamps[slot.sid]
             slot.sid = sid
             slot.start = cursor
             slot.cap = n
@@ -371,7 +303,6 @@ class ColumnarAgreeStore:
         self._used = total
         self._dead = 0
         self._n_sids = len(live)
-        self._stamps = stamps
 
     def _ensure(self, n: int) -> None:
         self._live = None

@@ -354,11 +354,6 @@ class EvidenceCache:
         self._entry_epoch = getattr(self, "_entry_epoch", 0) + 1
         self._gather = None
         self._gather_key: tuple | None = None
-        self._gather_rows = None
-        self._table_row_of_slot = None
-        self._table_n_rows = 0
-        self._sid_to_key: dict[int, PairKey] = {}
-        self._sid_to_key_key: tuple | None = None
         self._warned_overlap = False
         self._overlap_mark: tuple[int, PairKey | None] = (0, None)
         if self._backend == "serial":
@@ -1470,79 +1465,8 @@ class EvidenceCache:
                     "table's dataset snapshot — rebuild the table after "
                     "ingest"
                 ) from None
-            # Object rows back the popularity-aware moved-pair test:
-            # k_false sums over ALL of an object's slots, so under the
-            # empirical model an entry's evidence moves whenever any
-            # sibling slot of its object moved.
-            self._gather_rows = table.row_of_slot[self._gather]
-            self._table_row_of_slot = table.row_of_slot
-            self._table_n_rows = len(table.objects)
             self._gather_key = key
         return self._gather
-
-    def pairs_with_moved_entries(self, moved) -> set[PairKey]:
-        """Candidate pairs referencing an agreement entry flagged in ``moved``.
-
-        ``moved`` is a table-slot-indexed boolean array — typically the
-        moved-entry mask of the
-        :class:`~repro.truth.columnar.ValueProbTable` the last
-        :meth:`refresh` consumed (or a drift mask accumulated from it).
-        An unflagged pair has bit-for-bit the same
-        ``kt``/``kf``/``shared_values`` as before that update; together
-        with unchanged endpoint accuracies that makes its previous
-        posterior exact for reuse — the restriction DEPEN's iterative
-        rounds apply. Without popularity the test is per entry (the
-        evidence depends only on the entries' own probabilities); when
-        popularity is collected (empirical model, or escaped pairs
-        under ``overlap_policy="auto"``) it widens to per *object*:
-        each entry's popularity reads ``k_false`` summed over ALL of
-        its object's slots, so a sibling slot's move flags the entry's
-        pairs too. Requires the last refresh to have consumed a table
-        (the entry-to-slot gather must exist and match the current
-        structural state).
-        """
-        entry_mask = self.moved_entry_mask(moved)
-        # The sid -> key reverse map shares the gather's staleness
-        # exactly (both die with the entry epoch / structural state), so
-        # it is cached on the same key rather than rebuilt O(pairs) per
-        # round.
-        if self._sid_to_key_key != self._gather_key:
-            self._sid_to_key = {
-                slot.sid: key for key, slot in self._slots.items()
-            }
-            self._sid_to_key_key = self._gather_key
-        sid_to_key = self._sid_to_key
-        return {
-            sid_to_key[sid]
-            for sid in self._store.flagged_sids(entry_mask).tolist()
-            if sid in sid_to_key
-        }
-
-    def moved_entry_mask(self, moved):
-        """Entry-id-indexed boolean mask of agreement entries that moved.
-
-        The entry-level half of :meth:`pairs_with_moved_entries` —
-        ``moved`` is the same table-slot-indexed drift mask, widened to
-        per-object flags under the empirical/popularity models. Exposed
-        separately so the batched posterior engine can map it onto pair
-        *positions* without building a key set.
-        """
-        if (
-            self._gather is None
-            or not self._refreshed
-            or self._gather_key is None
-            or self._gather_key[1] != self._entry_epoch
-        ):
-            raise DataError(
-                "no table-based refresh against the current structure — "
-                "call refresh(table) before asking which pairs moved"
-            )
-        moved = np.asarray(moved, dtype=bool)
-        if self._pop is not None:
-            moved_rows = np.zeros(self._table_n_rows, dtype=bool)
-            moved_rows[self._table_row_of_slot[moved]] = True
-            return moved_rows[self._gather_rows]
-        return moved[self._gather]
 
     def posterior_engine(self, params: DependenceParams):
         """The memoized batched posterior engine for this cache.
@@ -1559,23 +1483,6 @@ class EvidenceCache:
             engine = BatchedPosteriorEngine(self, params)
             self._posterior_engines[params] = engine
         return engine
-
-    # ------------------------------------------------------------------
-    # per-pair round stamps (restricted re-scoring baselines)
-    # ------------------------------------------------------------------
-
-    def stamp_all_pairs(self, round_index: int) -> None:
-        """Record that every current pair was scored at ``round_index``.
-
-        Stamps back DEPEN's per-pair drift baselines: a pair's
-        accumulated input drift is measured since the round *it* was
-        last scored, not since the last global re-score. Slots created
-        after the last full stamp (backfilled pairs) carry stamp 0 —
-        "never scored" — so consumers treat them as always affected.
-        Per-position stamps go through
-        :meth:`~repro.dependence.bayes_batch.BatchedPosteriorEngine.stamp_positions`.
-        """
-        self._store.stamp_all(round_index)
 
     # ------------------------------------------------------------------
     # evidence accessors

@@ -220,11 +220,11 @@ class StreamingDependenceEngine:
     def last_truth_stats(self) -> Mapping[str, int | str]:
         """Counters of the last :meth:`run_truth`.
 
-        ``pairs_rescored`` / ``pairs_reused`` aggregate DEPEN's
-        per-round restricted re-scoring counters over the whole run
-        (see :class:`~repro.truth.base.RoundTrace`), ``restricted_rounds``
-        counts rounds where the restriction actually reused a
-        posterior. Empty before the first :meth:`run_truth`.
+        ``pairs_rescored`` / ``pairs_reused`` sum DEPEN's per-round
+        counters over the whole run (see
+        :class:`~repro.truth.base.RoundTrace`); every round scores every
+        pair, so ``pairs_reused`` is 0. Empty before the first
+        :meth:`run_truth`.
         """
         return dict(self._last_truth_stats)
 
@@ -370,7 +370,6 @@ class StreamingDependenceEngine:
             "rounds": result.rounds,
             "pairs_rescored": sum(t.pairs_rescored for t in counted),
             "pairs_reused": sum(t.pairs_reused or 0 for t in counted),
-            "restricted_rounds": sum(1 for t in counted if t.pairs_reused),
         }
         self._last_result = result
         self._last_result_version = self._dataset.version

@@ -27,12 +27,13 @@ if TYPE_CHECKING:
 class RoundTrace:
     """Diagnostics for one round of an iterative algorithm.
 
-    ``pairs_rescored`` / ``pairs_reused`` count how the round's
-    dependence step treated the candidate pairs: recomputed the
-    posterior, or carried the previous round's over because nothing the
-    posterior depends on moved (DEPEN's restricted re-scoring). ``None``
-    on algorithms that score every pair unconditionally — the counters are execution diagnostics,
-    never part of the result equivalence.
+    ``pairs_rescored`` counts the candidate pairs whose posterior the
+    round's dependence step computed; DEPEN re-scores every pair every
+    round. ``pairs_reused`` is always 0 on DEPEN, which carries no
+    posterior over from an earlier round; the field stays for readers of
+    the per-round counters. Both are ``None`` on algorithms without a
+    dependence step — the counters are execution diagnostics, never part
+    of the result equivalence.
     """
 
     round_index: int

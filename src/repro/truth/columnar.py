@@ -42,11 +42,9 @@ one, because published snapshots share its arrays and index dicts.
 
 :class:`ValueProbTable` — the exchange format: a flat ``float64``
 probability per slot of a layout, plus the per-run state (``probs``,
-``moved``, ``version``). :meth:`~ValueProbTable.set_probs` swaps in a
-new probability array and computes the **moved-slot mask** (entries
-whose probability changed beyond a tolerance), which is what lets
-DEPEN's iterative rounds re-score only the pairs an update actually
-touched.
+``version``). :meth:`~ValueProbTable.set_probs` swaps in each round's
+new probability array whole, so a frozen copy never sees a later
+round.
 
 :class:`TruthRoundEngine` — the vectorised kernels for the four round
 steps, over the table's layout:
@@ -69,10 +67,9 @@ steps, over the table's layout:
 Bitwise discipline
 ------------------
 
-The equivalence reference is the dict loop over
-:mod:`repro.truth.vote_counting` kept in the test suite
-(``tests/truth_oracle.py``), and the kernels are built so results are
-**bit-for-bit identical** to it, not merely close:
+The equivalence reference is the dict vote-counting loop kept in the
+test suite (``tests/truth_oracle.py``), and the kernels are built so
+results are **bit-for-bit identical** to it, not merely close:
 
 * every sum runs through ``np.bincount``, which accumulates weights
   sequentially in input order (the PR 4 entry-store fact), with the
@@ -83,11 +80,10 @@ The equivalence reference is the dict loop over
   pairwise sum);
 * ``exp``/``log`` come from :mod:`repro.core.fmath` on both sides: the
   kernels call its array ``log_array``/``exp_array`` (numpy's SIMD
-  ``np.log``/``np.exp``), and the reference's
-  :func:`~repro.truth.vote_counting.accuracy_score` and
-  :func:`~repro.truth.vote_counting.softmax_distribution` call its
-  scalar ``log``/``exp``, which run the same ufunc on one Python float
-  and so give the same bits as the matching array element. The
+  ``np.log``/``np.exp``), and the oracle's ``accuracy_score`` and
+  ``softmax_distribution`` call its scalar ``log``/``exp``, which run
+  the same ufunc on one Python float and so give the same bits as the
+  matching array element. The
   deterministic tie-breaking the reproduction's experiments rely on
   therefore sees identical counts on both sides.
 
@@ -530,7 +526,7 @@ class ValueProbTable:
     ``k_false`` accumulation bitwise identical across layouts).
     ``counts[slot]`` is the slot's provider count. The structural
     attributes are the layout's own (shared, read-only) objects; only
-    ``probs``, ``moved`` and ``version`` belong to the table.
+    ``probs`` and ``version`` belong to the table.
     """
 
     __slots__ = (
@@ -543,7 +539,6 @@ class ValueProbTable:
         "slot_values",
         "counts",
         "probs",
-        "moved",
         "version",
     )
 
@@ -585,9 +580,6 @@ class ValueProbTable:
                 flat.extend(map(obj_probs.get, offsets[obj], zeros))
             probs = np.asarray(flat, dtype=np.float64)
         self.probs = probs
-        # Nothing has been exchanged yet: every slot counts as moved, so
-        # a first consumer of the mask re-scores everything.
-        self.moved = np.ones(len(self.slot_values), dtype=bool)
         self.version = 0
 
     def __len__(self) -> int:
@@ -603,28 +595,14 @@ class ValueProbTable:
                 "table's dataset snapshot — rebuild the table after ingest"
             ) from None
 
-    def set_probs(self, probs, tolerance: float = 0.0) -> None:
-        """Swap in a new probability array; recompute the moved mask.
-
-        ``probs`` must be slot-aligned with the table. The mask marks
-        slots whose probability differs from the previous round's by
-        more than ``tolerance`` — with the 0.0 default, any bitwise
-        change counts (``!=``), which is what exact consumers need.
-        """
+    def set_probs(self, probs) -> None:
+        """Swap in a new probability array (slot-aligned with the table)."""
         new = np.ascontiguousarray(probs, dtype=np.float64)
         if new.shape != self.probs.shape:
             raise DataError(
                 f"probability array has {new.size} slots, table has "
                 f"{self.probs.size}"
             )
-        if tolerance < 0.0:
-            raise ParameterError(
-                f"tolerance must be >= 0, got {tolerance}"
-            )
-        if tolerance == 0.0:
-            self.moved = new != self.probs
-        else:
-            self.moved = np.abs(new - self.probs) > tolerance
         self.probs = new
         self.version += 1
 
@@ -655,11 +633,6 @@ class ValueProbTable:
             "value_index": layout.value_offsets,
             "dataset_version": self.dataset_version,
         }
-
-    def moved_objects(self) -> set[ObjectId]:
-        """Objects owning at least one moved slot (diagnostics)."""
-        rows = np.unique(self.row_of_slot[self.moved])
-        return {self.objects[row] for row in rows.tolist()}
 
     def to_dict(self) -> dict[ObjectId, dict[Value, float]]:
         """Materialise the classic nested-dict value probabilities."""
@@ -766,12 +739,12 @@ class TruthRoundEngine:
         """DEPEN vote counts: rank-ordered, dependence-discounted.
 
         ``dep_matrix`` is the symmetric per-source-pair dependence
-        posterior matrix (:func:`dependence_matrix`); ``clamped`` the
-        accuracy array the ranking derives from. Claims are processed in
-        each slot's decreasing-accuracy order; claim ``j`` of a slot is
-        weighted by ``Π_{i<j} (1 - c·P(dep))`` with the factors
-        multiplied in ascending ``i`` — the reference
-        ``independence_weight`` walk. All factors of the round come
+        posterior matrix (``tests/truth_oracle.py`` lays a graph out
+        this way); ``clamped`` the accuracy array the ranking
+        derives from. Claims are processed in each slot's
+        decreasing-accuracy order; claim ``j`` of a slot is weighted by
+        ``Π_{i<j} (1 - c·P(dep))`` with the factors multiplied in
+        ascending ``i`` — the reference ``independence_weight`` walk. All factors of the round come
         from one gather of ``dep_matrix`` at the rank-order pair codes,
         and each later claim's run of factors is multiplied by one
         ``np.multiply.reduceat``, a sequential product.
@@ -831,7 +804,7 @@ class TruthRoundEngine:
 
         Returns ``(winner_slots, probs)``: the winning slot per object
         row (ties broken by value ``repr``, exactly like
-        :func:`~repro.truth.vote_counting.decide`) and the slot-aligned
+        :func:`~repro.truth.voting.decide`) and the slot-aligned
         probability array (softmax over each object's segment, with the
         dict reference's max-shift and accumulation order).
         """
@@ -891,24 +864,3 @@ class TruthRoundEngine:
     def accuracies_dict(self, accuracies) -> dict[SourceId, float]:
         """``{source: accuracy}`` from an accuracy array."""
         return dict(zip(self.sources, accuracies.tolist()))
-
-
-def dependence_matrix(graph, sources: list[SourceId], src_code=None):
-    """The symmetric dependence-posterior matrix of a graph.
-
-    ``dep[i, j]`` is ``graph.probability(sources[i], sources[j])``;
-    unanalysed pairs are 0.0 (treated as independent — their discount
-    factor is exactly 1.0, so multiplying by it is a bitwise no-op,
-    matching the dict reference's behaviour of multiplying anyway).
-    """
-    if src_code is None:
-        src_code = {source: i for i, source in enumerate(sources)}
-    dep = np.zeros((len(sources), len(sources)), dtype=np.float64)
-    for pair in graph:
-        i = src_code.get(pair.s1)
-        j = src_code.get(pair.s2)
-        if i is None or j is None:
-            continue
-        dep[i, j] = pair.p_dependent
-        dep[j, i] = pair.p_dependent
-    return dep

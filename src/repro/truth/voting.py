@@ -13,7 +13,16 @@ from __future__ import annotations
 from repro.core.dataset import ClaimDataset
 from repro.core.types import ObjectId, Value
 from repro.truth.base import TruthDiscovery, TruthResult
-from repro.truth.vote_counting import decide
+
+
+def decide(vote_counts: dict[Value, float]) -> Value:
+    """The winning value: highest count, ties broken by value repr.
+
+    Deterministic tie-breaking keeps experiments reproducible; the paper's
+    Example 2.1 relies on recognising a three-way tie as "unsure", which
+    callers can detect by comparing the top two counts.
+    """
+    return max(vote_counts, key=lambda value: (vote_counts[value], repr(value)))
 
 
 class NaiveVote(TruthDiscovery):

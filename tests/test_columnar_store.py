@@ -165,34 +165,6 @@ class TestStoreUnit:
             [6],
         ]
 
-    def test_flagged_sids_and_segments_on_patched_layout(self):
-        import numpy as np
-
-        store, slots = self._packed([[1, 2, 3], [4, 5], [6], []])
-        store.remove(slots[0], 1)  # slack cell
-        store.insert(slots[1], 0, 7)  # relocation tombstones a region
-        store.release(slots[2])
-        late = self.Slot()
-        store.new_sid(late)
-        store.append_segment(late, [2, 8])
-        live = [slots[0], slots[1], slots[3], late]
-        rng = random.Random(3)
-        for _ in range(20):
-            mask = [rng.random() < 0.3 for _ in range(9)]
-            expected = [
-                any(mask[eid] for eid in store.segment(s).tolist())
-                for s in live
-            ]
-            entry_mask = np.asarray(mask)
-            flagged = store.flagged_sids(entry_mask)
-            assert flagged.tolist() == sorted(
-                s.sid for s, hit in zip(live, expected) if hit
-            )
-            segments = store.flagged_segments(
-                [s.start for s in live], [s.length for s in live], entry_mask
-            )
-            assert segments.tolist() == expected
-
     def test_backfill_append_segment(self):
         store, _ = self._packed([[1]])
         late = self.Slot()

@@ -42,14 +42,23 @@ def test_explicit_keyword_beats_params_field():
     session.close()
 
 
-@pytest.mark.parametrize(
-    "keyword", ["entry_store", "truth_backend", "posterior_backend"]
-)
+#: Removed knobs and the params class that no longer takes them.
+REMOVED_KEYWORDS = {
+    "entry_store": DependenceParams,
+    "truth_backend": DependenceParams,
+    "posterior_backend": DependenceParams,
+    "rescore_tolerance": IterationParams,
+}
+
+
+@pytest.mark.parametrize("keyword", list(REMOVED_KEYWORDS))
 def test_removed_policy_keywords_rejected(keyword):
-    # Each DEPEN layer has one production path: the old execution
-    # choices are not fields, nor session keywords, any more.
+    # Each DEPEN layer has one production path, and DEPEN re-scores
+    # every pair every round: the old execution choices and the in-round
+    # re-scoring tolerance are not fields, nor session keywords, any
+    # more.
     with pytest.raises(TypeError):
-        DependenceParams(**{keyword: "auto"})
+        REMOVED_KEYWORDS[keyword](**{keyword: "auto"})
     with pytest.raises(ParameterError, match="unknown Session keyword"):
         repro.Session(**{keyword: "auto"})
 

@@ -7,8 +7,7 @@ pure-Python dict loops of ``tests/truth_oracle.py``, for every evidence
 model and under interleaved streaming ingest — plus the unit
 behaviour of the :class:`~repro.truth.columnar.ValueProbTable` exchange
 format, the positional (probe-free) evidence-cache refresh it enables,
-and DEPEN's restricted in-round pair re-scoring built on its
-moved-entry tracking.
+and DEPEN's per-round counters (every pair re-scored every round).
 """
 
 from __future__ import annotations
@@ -27,17 +26,18 @@ from repro.dependence.bayes import PairDependence, uniform_value_probabilities
 from repro.dependence.evidence import EvidenceCache
 from repro.dependence.graph import DependenceGraph
 from repro.dependence.streaming import StreamingDependenceEngine
-from repro.exceptions import DataError, ParameterError
+from repro.exceptions import DataError
 from repro.generators import simple_copier_world
 from repro.truth import Accu, Depen, ValueProbTable
 from repro.truth import columnar
-from repro.truth.columnar import (
-    TruthRoundEngine,
-    _factor_geometry,
+from repro.truth.columnar import TruthRoundEngine, _factor_geometry
+from repro.truth.voting import decide
+from truth_oracle import (
+    accu_oracle,
+    all_discounted_vote_counts,
+    depen_oracle,
     dependence_matrix,
 )
-from repro.truth.vote_counting import all_discounted_vote_counts, decide
-from truth_oracle import accu_oracle, depen_oracle
 
 ALL_MODEL_PARAMS = [
     {"false_value_model": model, "evidence_form": form}
@@ -121,40 +121,18 @@ class TestValueProbTable:
         with pytest.raises(DataError):
             table.slot("o9", "x")
 
-    def test_set_probs_moved_mask_bitwise(self, dataset):
+    def test_set_probs_swaps_the_array(self, dataset):
         table = ValueProbTable(dataset)
-        assert table.moved.all()  # nothing exchanged yet
         fresh = table.probs.copy()
-        slot = table.slot("o2", "u")
-        fresh[slot] = 0.75
+        fresh[table.slot("o2", "u")] = 0.75
         table.set_probs(fresh)
         assert table.version == 1
-        moved = np.flatnonzero(table.moved).tolist()
-        assert moved == [slot]
-
-    def test_set_probs_moved_mask_tolerance(self, dataset):
-        table = ValueProbTable(dataset)
-        fresh = table.probs.copy()
-        s1 = table.slot("o1", "x")
-        s2 = table.slot("o1", "y")
-        fresh[s1] += 1e-12
-        fresh[s2] += 1e-3
-        table.set_probs(fresh, tolerance=1e-6)
-        assert np.flatnonzero(table.moved).tolist() == [s2]
-
-    def test_moved_objects(self, dataset):
-        table = ValueProbTable(dataset)
-        fresh = table.probs.copy()
-        fresh[table.slot("o3", "w")] = 0.5
-        table.set_probs(fresh)
-        assert table.moved_objects() == {"o3"}
+        assert table.probs.tolist() == fresh.tolist()
 
     def test_set_probs_validation(self, dataset):
         table = ValueProbTable(dataset)
         with pytest.raises(DataError):
             table.set_probs(np.zeros(2))
-        with pytest.raises(ParameterError):
-            table.set_probs(table.probs.copy(), tolerance=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,74 +195,6 @@ class TestEvidenceCacheTableRefresh:
         cache = EvidenceCache(dataset, params=DependenceParams())
         with pytest.raises(DataError):
             cache.refresh([("o1", "x", 0.5)])
-
-    def test_pairs_with_moved_entries(self):
-        dataset = ClaimDataset(_random_claims(random.Random(9)))
-        params = DependenceParams(overlap_warning_bound=None)
-        cache = EvidenceCache(dataset, params=params)
-        table = ValueProbTable(dataset)
-        before = cache.collect_all(table)
-        fresh = table.probs.copy()
-        moved_obj = dataset.objects[0]
-        moved_value = next(iter(dataset.values_for_view(moved_obj)))
-        fresh[table.slot(moved_obj, moved_value)] = 0.99
-        table.set_probs(fresh)
-        cache.refresh(table)
-        after = {key: cache.evidence(*key) for key in cache}
-        flagged = cache.pairs_with_moved_entries(table.moved)
-        # Exactly the pairs whose served evidence changed are flagged,
-        # and every flagged pair agrees on the moved (object, value).
-        changed = {key for key in before if after[key] != before[key]}
-        assert changed <= flagged
-        providers = sorted(dataset.providers_of(moved_obj, moved_value))
-        for s1, s2 in flagged:
-            assert s1 in providers and s2 in providers
-
-    def test_sibling_slot_move_flags_empirical_pairs(self):
-        """Under the empirical model an entry's popularity reads
-        ``k_false`` over ALL of its object's slots, so a *sibling*
-        value's probability move must flag the pair even though the
-        pair's own agreement slot never moved."""
-        dataset = ClaimDataset.from_table(
-            {
-                "o1": {"A": "v1", "B": "v1", "C": "v2", "D": "v3"},
-                "o2": {"A": "x", "B": "x", "C": "x", "D": "x"},
-            }
-        )
-        for model, expect_flagged in (("empirical", True), ("uniform", False)):
-            params = DependenceParams(
-                false_value_model=model, overlap_warning_bound=None
-            )
-            cache = EvidenceCache(dataset, params=params)
-            table = ValueProbTable(dataset)
-            before = cache.collect_all(table)[("A", "B")]
-            fresh = table.probs.copy()
-            fresh[table.slot("o1", "v2")] = 0.9  # sibling of the A-B entry
-            fresh[table.slot("o1", "v1")] = 0.05
-            fresh[table.slot("o1", "v3")] = 0.05
-            moved = fresh != table.probs
-            moved[table.slot("o1", "v1")] = False  # the pair's own entry
-            fresh[table.slot("o1", "v1")] = table.probs[
-                table.slot("o1", "v1")
-            ]
-            table.set_probs(fresh)
-            cache.refresh(table)
-            after = cache.evidence("A", "B")
-            flagged = ("A", "B") in cache.pairs_with_moved_entries(moved)
-            assert flagged == expect_flagged, model
-            # Ground truth for the widening: the empirical pair's
-            # evidence really did change (its popularity input moved),
-            # the uniform pair's really did not.
-            assert (after != before) == expect_flagged, model
-
-    def test_pairs_with_moved_entries_needs_table_refresh(self):
-        dataset = ClaimDataset(_random_claims(random.Random(10)))
-        cache = EvidenceCache(dataset, params=DependenceParams())
-        cache.collect_all(uniform_value_probabilities(dataset))
-        with pytest.raises(DataError):
-            cache.pairs_with_moved_entries(
-                np.ones(len(ValueProbTable(dataset)), dtype=bool)
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +314,7 @@ def test_property_accu_backend_equivalence(table):
 
 
 # ---------------------------------------------------------------------------
-# restricted re-scoring inside DEPEN's rounds
+# DEPEN's per-round counters: every pair re-scored every round
 # ---------------------------------------------------------------------------
 
 
@@ -420,37 +330,12 @@ class TestRestrictedRescoring:
         it = IterationParams(max_rounds=6)
         result = Depen(_depen_params(), it).discover(world)
         n_pairs = len(result.dependence)
+        assert n_pairs > 0
         for trace in result.trace:
-            assert trace.pairs_rescored + trace.pairs_reused == n_pairs
-        assert result.trace[0].pairs_rescored == n_pairs  # first is full
-
-    def test_reuse_fires_in_settling_tail_and_stays_exact(self, world):
-        it = IterationParams(
-            max_rounds=20,
-            accuracy_tolerance=1e-9,
-            rescore_tolerance=1e-4,
-        )
-        reference = depen_oracle(
-            world,
-            _depen_params(),
-            IterationParams(max_rounds=20, accuracy_tolerance=1e-9),
-        )
-        result = Depen(_depen_params(), it).discover(world)
-        reused = sum(t.pairs_reused for t in result.trace)
-        assert reused > 0  # the restriction actually fires
-        # Decisions are unaffected; accuracies within the documented
-        # bound of the drift tolerance.
-        assert result.decisions == reference.decisions
-        worst = max(
-            abs(result.accuracies[s] - reference.accuracies[s])
-            for s in reference.accuracies
-        )
-        assert worst < 1e-6
+            assert trace.pairs_rescored == n_pairs
+            assert trace.pairs_reused == 0
 
     def test_exact_default_is_bitwise(self, world):
-        # rescore_tolerance=0.0 (default) reuses only bitwise-unchanged
-        # inputs, so results match the full-re-scoring oracle exactly
-        # even when the restriction machinery runs.
         it = IterationParams(max_rounds=10)
         _results_equal(
             depen_oracle(world, _depen_params(), it),
@@ -462,64 +347,12 @@ class TestRestrictedRescoring:
         engine = StreamingDependenceEngine(
             dataset=ClaimDataset(list(world)), params=params
         )
-        it = IterationParams(
-            max_rounds=20, accuracy_tolerance=1e-9, rescore_tolerance=1e-4
-        )
+        it = IterationParams(max_rounds=20, accuracy_tolerance=1e-9)
         engine.run_truth(Depen(params, it, min_overlap=engine.min_overlap))
         stats = engine.last_truth_stats
         assert stats["algorithm"] == "depen"
-        assert stats["pairs_reused"] > 0
-        assert stats["restricted_rounds"] > 0
-
-    def test_rescore_tolerance_validation(self):
-        with pytest.raises(ParameterError):
-            IterationParams(rescore_tolerance=-1e-9)
-
-    @pytest.fixture(scope="class")
-    def hetero_world(self):
-        """Two disjoint clusters settling at different speeds.
-
-        The copier cluster keeps drifting for most of the run while the
-        unanimous cluster freezes after two rounds — exactly the shape
-        where a per-pair baseline pays off: a baseline shared by all
-        pairs would reset only on all-rescored rounds, which the
-        slow-settling cluster prevents, so its pairs would stay marked
-        dirty forever once their accumulated drift passes the tolerance.
-        """
-        dataset, _ = simple_copier_world(
-            n_objects=80, n_independent=10, n_copiers=3, accuracy=0.8, seed=11
-        )
-        claims = list(dataset)
-        for s in range(4):
-            for o in range(20):
-                claims.append(Claim(f"una{s}", f"uobj{o:02d}", f"truth{o:02d}"))
-        return ClaimDataset(claims)
-
-    def test_per_pair_baseline_strictly_beats_shared(self, hetero_world):
-        it = IterationParams(
-            max_rounds=20,
-            accuracy_tolerance=1e-9,
-            rescore_tolerance=1e-4,
-            fail_on_max_rounds=False,
-        )
-        per_pair = Depen(_depen_params(), it).discover(hetero_world)
-        per_pair_reused = [t.pairs_reused for t in per_pair.trace]
-        # Pinned counts: the unanimous cluster's 6 pairs settle by round
-        # 3 (a shared baseline reuses just those 6 per round from then
-        # on); from round 15 the copier cluster starts settling too,
-        # which only the per-pair baseline can exploit.
-        assert per_pair_reused == (
-            [0, 0] + [6] * 12 + [48, 42, 84, 48, 84, 84]
-        )
-        # Restriction never changes what DEPEN decides.
-        reference = depen_oracle(
-            hetero_world,
-            _depen_params(),
-            IterationParams(
-                max_rounds=20, accuracy_tolerance=1e-9, fail_on_max_rounds=False
-            ),
-        )
-        assert per_pair.decisions == reference.decisions
+        assert stats["pairs_rescored"] == stats["rounds"] * len(engine.cache)
+        assert stats["pairs_reused"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ from repro.datasets.paper_tables import TABLE1_TRUTH
 from repro.exceptions import DataError, ParameterError
 from repro.truth import Accu, NaiveVote, TruthFinder
 from repro.dependence.graph import DependenceGraph
-from repro.truth.vote_counting import (
+from repro.truth.voting import decide
+from truth_oracle import (
     accuracy_score,
     all_discounted_vote_counts,
-    decide,
     discounted_vote_counts,
     softmax_distribution,
 )
