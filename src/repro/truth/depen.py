@@ -156,6 +156,10 @@ class Depen(TruthDiscovery):
         rounds = 0
         # The per-position posterior arrays go to the result as they
         # are; the graph object is built only if a caller reads it.
+        # A caller-supplied cache may lag the dataset: sync it before
+        # reading the pair set, or the endpoint codes would describe
+        # the pairs of an older version.
+        evidence_cache.sync()
         posterior = evidence_cache.posterior_engine(params)
         pair_s1c, pair_s2c = posterior.endpoint_codes()
         dep = np.zeros((engine.n_sources, engine.n_sources), dtype=np.float64)

@@ -401,6 +401,43 @@ class TestDepenEvidenceCacheInjection:
         assert injected.accuracies == baseline.accuracies
         _assert_same_graph(injected.dependence, baseline.dependence)
 
+    @pytest.mark.parametrize("change", ["pair_count_grows", "pair_set_swaps"])
+    def test_cache_behind_dataset_matches_cold_run(self, change):
+        rows = {
+            "A": {"o2": "v1", "o4": "v1"},
+            "B": {"o1": "v0", "o3": "v0"},
+            "C": {"o0": "v0", "o1": "v0", "o4": "v0"},
+            "D": {"o0": "v1", "o4": "v1"},
+            "E": {"o0": "v0", "o1": "v1"},
+        }
+        dataset = ClaimDataset(
+            [
+                Claim(source, obj, value)
+                for source, claims in rows.items()
+                for obj, value in claims.items()
+            ]
+        )
+        # Built before the mutation below: the cache lags the dataset.
+        cache = EvidenceCache(dataset, min_overlap=2, params=DependenceParams())
+        before = set(cache.pairs)
+        if change == "pair_count_grows":
+            dataset.add_claims([Claim("F", "o0", "v0"), Claim("F", "o1", "v0")])
+        else:
+            # CE falls below the overlap threshold while AD reaches it.
+            dataset.retract_claims([("E", "o0")])
+            dataset.add_claims([Claim("D", "o2", "v0")])
+        depen = Depen(min_overlap=2)
+        injected = depen.discover(dataset, evidence_cache=cache)
+        cold = depen.discover(dataset)
+        after = set(cache.pairs)
+        assert after != before
+        if change == "pair_set_swaps":
+            assert len(after) == len(before)
+        assert injected.decisions == cold.decisions
+        assert injected.accuracies == cold.accuracies
+        _assert_same_graph(injected.dependence, cold.dependence)
+        assert {(p.s1, p.s2) for p in injected.dependence} == after
+
     def test_incompatible_cache_rejected(self, table1):
         cache = EvidenceCache(
             table1, params=DependenceParams(false_value_model="empirical")
