@@ -46,6 +46,7 @@ DEPEN's rounds all score through it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -63,11 +64,13 @@ class BatchedPosteriorEngine:
     cache hands instances out via
     :meth:`~repro.dependence.evidence.EvidenceCache.posterior_engine`,
     memoized per params. Static, refresh-independent state — pair keys
-    in registry order, endpoint source codes, ``kd``, segment lengths,
-    the live-entry-to-pair-position map — is cached and re-derived only
-    when the cache's structural epoch moves (any ``sync``/``build``
-    bumps the dataset version or entry epoch). Per-call inputs are the
-    current accuracies and the soft sums of the last ``refresh``.
+    in registry order, sids, endpoint source codes, ``kd``, segment
+    lengths, the live-entry-to-pair-position map — is cached and
+    brought up to date only when the cache's structural epoch moves
+    (any ``sync``/``build`` bumps the dataset version or entry epoch),
+    by a patch through the cache's pair log (:meth:`_ensure_static`).
+    Per-call inputs are the current accuracies and the soft sum arrays
+    of the last ``refresh``.
 
     Positions are indices into :meth:`pair_keys` (the cache's slot
     registry order — the exact order ``collect_all``/iteration yields
@@ -81,42 +84,133 @@ class BatchedPosteriorEngine:
         self._cache = cache
         self._params = params
         self._state_key: tuple | None = None
+        # The per-pair arrays start empty: the first read patches them
+        # from nothing, which re-reads every pair.
+        self._log = None
+        self._keys: list = []
+        self._pos_of_key: dict | None = None
+        self.sources: list = []
+        self._code: dict = {}
+        none = np.empty(0, dtype=np.int64)
+        self._sid = self._length = self._s1c = self._s2c = none
+        self._kd = np.empty(0, dtype=np.float64)
 
     # -- static (structural) state --------------------------------------
 
     def _structural_key(self) -> tuple:
         cache = self._cache
         return (
-            cache.synced_version,
+            cache._synced_version,
             cache._entry_epoch,
-            cache._store.n_sids,
+            cache._store._n_sids,
             len(cache._slots),
         )
 
     def _ensure_static(self) -> None:
+        """Bring the per-pair arrays up to the cache's registry.
+
+        Patches the previous arrays through the cache's pair log: the
+        surviving pairs' entries move with array operations (their sids
+        through the log's compaction renumbering, their source codes
+        through an old-to-new code map when the source list changed),
+        and only appended pairs and pairs whose ``kd`` or segment length
+        moved are re-read from their slots. Without a log that matches
+        these arrays (the first read, a rebuilt cache, another engine
+        having read since) the patch starts from no pairs and re-reads
+        them all. Each patch makes new arrays and a new key list:
+        results and snapshots of earlier publishes keep the old ones.
+        """
         key = self._structural_key()
         if key == self._state_key:
             return
         cache = self._cache
         slots = cache._slots
-        n_pairs = len(slots)
-        self._keys = list(slots)
-        self._pos_of_key = {k: i for i, k in enumerate(self._keys)}
-        self.sources = cache.dataset.sources
-        code = {source: i for i, source in enumerate(self.sources)}
+        log = cache._pair_log
+        if log is None or log is not self._log:
+            log = None
+            kept = np.empty(0, dtype=np.int64)
+        else:
+            dead = np.zeros(log.n_base_sids, dtype=bool)
+            dead[log.dropped] = True
+            kept = np.flatnonzero(~dead[self._sid])
+        kept_s1c = self._s1c[kept]
+        kept_s2c = self._s2c[kept]
+        sources = cache.dataset.sources
+        code = self._code
+        if sources != self.sources:
+            code = {source: i for i, source in enumerate(sources)}
+            code_map = np.fromiter(
+                (code.get(source, -1) for source in self.sources),
+                dtype=np.int64,
+                count=len(self.sources),
+            )
+            kept_s1c = code_map[kept_s1c]
+            kept_s2c = code_map[kept_s2c]
+            if kept.size and min(kept_s1c.min(), kept_s2c.min()) < 0:
+                # A kept pair lost an endpoint source (fixed candidate
+                # pairs): re-read every pair, which raises as a cold
+                # read does.
+                log = None
+                kept = kept[:0]
+        keys = list(slots)
+        n_pairs = len(keys)
+        n_kept = kept.size
         sid = np.empty(n_pairs, dtype=np.int64)
         kd = np.empty(n_pairs, dtype=np.float64)
-        shared_len = np.empty(n_pairs, dtype=np.int64)
+        length = np.empty(n_pairs, dtype=np.int64)
         s1c = np.empty(n_pairs, dtype=np.int64)
         s2c = np.empty(n_pairs, dtype=np.int64)
-        for i, slot in enumerate(slots.values()):
-            sid[i] = slot.sid
-            kd[i] = slot.kd
-            shared_len[i] = slot.length
-            s1c[i] = code[slot.s1]
-            s2c[i] = code[slot.s2]
+        if n_kept:
+            kept_sid = self._sid[kept]
+            if log.base_of_sid is not None:
+                renumbered = log.base_of_sid >= 0
+                sid_of_base = np.full(log.n_base_sids, -1, dtype=np.int64)
+                sid_of_base[log.base_of_sid[renumbered]] = np.flatnonzero(
+                    renumbered
+                )
+                kept_sid = sid_of_base[kept_sid]
+            sid[:n_kept] = kept_sid
+            kd[:n_kept] = self._kd[kept]
+            length[:n_kept] = self._length[kept]
+            s1c[:n_kept] = kept_s1c
+            s2c[:n_kept] = kept_s2c
+        if n_kept < n_pairs:
+            tail = (
+                [slots[pair] for pair in keys[n_kept:]]
+                if n_kept
+                else list(slots.values())
+            )
+            sid[n_kept:] = [slot.sid for slot in tail]
+            kd[n_kept:] = [slot.kd for slot in tail]
+            length[n_kept:] = [slot.length for slot in tail]
+            s1c[n_kept:] = [code[slot.s1] for slot in tail]
+            s2c[n_kept:] = [code[slot.s2] for slot in tail]
+        pos_of_sid = np.zeros(max(cache._store.n_sids, 1), dtype=np.int64)
+        pos_of_sid[sid] = np.arange(n_pairs, dtype=np.int64)
+        if log is not None and log.changed:
+            # Pairs dropped since are gone from the registry; appended
+            # ones were read above.
+            rows = [
+                (slot.sid, slot.kd, slot.length)
+                for slot in map(slots.get, log.changed)
+                if slot is not None
+            ]
+            moved = np.fromiter(
+                itertools.chain.from_iterable(rows),
+                dtype=np.int64,
+                count=3 * len(rows),
+            ).reshape(-1, 3)
+            pos = pos_of_sid[moved[:, 0]]
+            inside = pos < n_kept
+            kd[pos[inside]] = moved[inside, 1]
+            length[pos[inside]] = moved[inside, 2]
+        self._keys = keys
+        self._pos_of_key = None
+        self.sources = sources
+        self._code = code
         self._sid = sid
         self._kd = kd
+        self._length = length
         self._s1c = s1c
         self._s2c = s2c
         # Per-pair mode lift of _slot_escaped: under overlap_policy=
@@ -124,7 +218,7 @@ class BatchedPosteriorEngine:
         # calibrated (marginal, popularity-aware) per-value treatment.
         if cache._auto_empirical:
             self._escaped = (
-                shared_len + kd.astype(np.int64) >= cache._overlap_bound
+                length + kd.astype(np.int64) >= cache._overlap_bound
             )
         else:
             self._escaped = np.zeros(n_pairs, dtype=bool)
@@ -133,12 +227,9 @@ class BatchedPosteriorEngine:
         self._needs_values = (not cache._fast) or bool(self._escaped.any())
         if self._needs_values:
             live_sids, live_eids = cache._store.live()
-            pos_of_sid = np.zeros(
-                max(cache._store.n_sids, 1), dtype=np.int64
-            )
-            pos_of_sid[sid] = np.arange(n_pairs, dtype=np.int64)
             self._entry_pos = pos_of_sid[live_sids]
             self._entry_eids = live_eids
+        self._log = cache._start_pair_log()
         self._state_key = key
 
     def pair_keys(self):
@@ -150,6 +241,9 @@ class BatchedPosteriorEngine:
         """Positions of the given pair keys, as an int64 array."""
         self._ensure_static()
         pos_of_key = self._pos_of_key
+        if pos_of_key is None:
+            pos_of_key = dict(zip(self._keys, range(len(self._keys))))
+            self._pos_of_key = pos_of_key
         return np.fromiter(
             (pos_of_key[key] for key in keys),
             dtype=np.int64,

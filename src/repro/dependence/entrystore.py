@@ -264,25 +264,30 @@ class ColumnarAgreeStore:
 
     # -- compaction -------------------------------------------------------
 
-    def maybe_compact(self, slots: Iterable) -> bool:
-        """Compact when dead cells outnumber live ones (hysteresis)."""
-        if self._dead < COMPACT_MIN_DEAD or 2 * self._dead <= self._used:
-            return False
-        self.compact(slots)
-        return True
+    def maybe_compact(self, slots: Iterable) -> np.ndarray | None:
+        """Compact when dead cells outnumber live ones (hysteresis).
 
-    def compact(self, slots: Iterable) -> None:
+        Returns :meth:`compact`'s old-sid array, or ``None`` when the
+        store was left as it is.
+        """
+        if self._dead < COMPACT_MIN_DEAD or 2 * self._dead <= self._used:
+            return None
+        return self.compact(slots)
+
+    def compact(self, slots: Iterable) -> np.ndarray:
         """Rebuild the cold layout from the live segments.
 
         ``slots`` must be every live slot, in canonical registry order;
         slot ids are renumbered (any cached per-sid aggregates are
         stale afterwards — the owning cache re-derives them on the next
         refresh, which the mutation that made compaction worthwhile
-        already forces).
+        already forces). Returns the renumbering as an array: element
+        ``i`` is the old sid of the slot that now has sid ``i``.
         """
         self._live = None
         live = list(slots)
         old = self._eids
+        old_sids = np.empty(len(live), dtype=np.int64)
         total = sum(slot.length for slot in live)
         eids = np.empty(total, dtype=np.int64)
         sids = np.empty(total, dtype=np.int64)
@@ -294,6 +299,7 @@ class ColumnarAgreeStore:
                     slot.start : slot.start + n
                 ]
                 sids[cursor : cursor + n] = sid
+            old_sids[sid] = slot.sid
             slot.sid = sid
             slot.start = cursor
             slot.cap = n
@@ -303,6 +309,7 @@ class ColumnarAgreeStore:
         self._used = total
         self._dead = 0
         self._n_sids = len(live)
+        return old_sids
 
     def _ensure(self, n: int) -> None:
         self._live = None

@@ -150,6 +150,55 @@ class _PairSlot:
         self.cap = 0
 
 
+class _PairLog:
+    """Registry changes since a posterior engine last read every pair.
+
+    :class:`~repro.dependence.bayes_batch.BatchedPosteriorEngine` starts
+    one (:meth:`EvidenceCache._start_pair_log`) each time its per-pair
+    arrays match the registry, and patches the arrays from it at the
+    next structural change instead of re-reading every slot. The
+    registry only loses pairs (``_drop_slot``) and appends them
+    (``_backfill_pair``), so the pairs registered at the start that
+    survive keep their order, ahead of every appended one. A slot's sid
+    names it stably until a store compaction renumbers the sids; the
+    renumbering is folded into ``base_of_sid``, so ``dropped`` always
+    speaks in the start's sids.
+    """
+
+    __slots__ = ("n_base_sids", "base_of_sid", "dropped", "changed")
+
+    def __init__(self, n_base_sids: int) -> None:
+        self.n_base_sids = n_base_sids
+        #: current sid -> sid at the start (-1: slot created since);
+        #: ``None`` while no compaction has renumbered (the identity).
+        self.base_of_sid: np.ndarray | None = None
+        #: start sids of the dropped pairs that were registered then.
+        self.dropped: list[int] = []
+        #: keys of pairs whose ``kd`` or segment length moved.
+        self.changed: set[PairKey] = set()
+
+    def drop(self, sid: int) -> None:
+        base = self.base_of_sid
+        if base is None:
+            if sid < self.n_base_sids:
+                self.dropped.append(sid)
+        elif sid < base.size and base[sid] >= 0:
+            self.dropped.append(int(base[sid]))
+
+    def renumbered(self, old_sids: np.ndarray) -> None:
+        """Fold in a compaction (``old_sids[i]``: old sid of new sid i)."""
+        base = self.base_of_sid
+        if base is None:
+            self.base_of_sid = np.where(
+                old_sids < self.n_base_sids, old_sids, -1
+            )
+            return
+        inside = old_sids < base.size
+        folded = np.full(old_sids.size, -1, dtype=np.int64)
+        folded[inside] = base[old_sids[inside]]
+        self.base_of_sid = folded
+
+
 class EvidenceCache:
     """Per-round batch evidence for all candidate pairs of a dataset.
 
@@ -338,8 +387,10 @@ class EvidenceCache:
         self._plan = None
         self._last_sync_routing: dict[int, int] = {}
         self._store = ColumnarAgreeStore()
-        self._kt: list[float] = []
-        self._kf: list[float] = []
+        # The per-slot soft sums of the last refresh. Batched readers
+        # take the arrays; the scalar readers' Python-float lists are
+        # built on the first read after a refresh (see _scalar_sums).
+        self._sum_lists: tuple[list[float], list[float]] | None = None
         self._kt_arr = None
         self._kf_arr = None
         self._p_arr = None
@@ -349,11 +400,18 @@ class EvidenceCache:
         # the structural epoch moves, so they survive build()/sync()).
         self._posterior_engines = getattr(self, "_posterior_engines", {})
         # Entry-epoch versioning for the table gather: any change to the
-        # entry registry (rebuild, new entry, freed entry) invalidates
-        # the cached entry-id -> table-slot index.
+        # entry registry (rebuild, new entry, freed entry) moves the
+        # epoch, and the next refresh patches the cached entry-id ->
+        # table-slot index (see _table_gather).
         self._entry_epoch = getattr(self, "_entry_epoch", 0) + 1
         self._gather = None
         self._gather_key: tuple | None = None
+        # Entry ids created or recycled since the last gather.
+        self._gather_fresh: set[int] = set()
+        # Registry changes since the posterior engine's last full read;
+        # None until an engine starts one (a rebuild forgets it, so the
+        # engine re-reads every pair).
+        self._pair_log: _PairLog | None = None
         self._warned_overlap = False
         self._overlap_mark: tuple[int, PairKey | None] = (0, None)
         if self._backend == "serial":
@@ -489,7 +547,6 @@ class EvidenceCache:
             payloads.append(
                 ShardPayload(
                     shard_id=shard_id,
-                    obj_base=start,
                     src=src_arr[lo:hi],
                     entry=entry_arr[lo:hi],
                     lengths=len_arr[start:end],
@@ -530,15 +587,16 @@ class EvidenceCache:
             }
             self._resident_fresh = False
             shard_states = {}
+            bounds = claim_bounds.tolist()
             for shard_id, (start, end) in enumerate(plan.ranges()):
                 shard_states[shard_id] = {
                     "objs": objs[start:end],
                     "src": [
-                        flat_src[claim_bounds[i] : claim_bounds[i + 1]]
+                        flat_src[bounds[i] : bounds[i + 1]]
                         for i in range(start, end)
                     ],
                     "entry": [
-                        flat_entry[claim_bounds[i] : claim_bounds[i + 1]]
+                        flat_entry[bounds[i] : bounds[i + 1]]
                         for i in range(start, end)
                     ],
                     "n_sources": n_sources,
@@ -570,10 +628,10 @@ class EvidenceCache:
 
         Candidate selection, record canonicalisation, entry dedup and
         slot fill — everything downstream of the executor — shared by
-        the cold sharded build and the warm resident rebuild. Record
-        ``obj`` values are never consumed here (the stable pair sort
-        relies only on within-shard order), which is what lets resident
-        workers sweep with shard-local ``obj_base=0``.
+        the cold sharded build and the warm resident rebuild. Records
+        carry no object ids: the stable pair sort relies only on their
+        within-shard order, which is what lets resident workers sweep
+        their shard without knowing where it starts.
         """
         import numpy as np
 
@@ -970,6 +1028,8 @@ class EvidenceCache:
                 self._pop.append(1.0)  # type: ignore[union-attr]
         entries[value] = eid
         self._entry_epoch += 1
+        if self._gather is not None:
+            self._gather_fresh.add(eid)
         return eid
 
     def _release_entry(self, eid: int) -> None:
@@ -1033,7 +1093,9 @@ class EvidenceCache:
         # renumbers slot ids, which is safe exactly here: the delta
         # already invalidated the per-sid sums (refresh is mandatory
         # before the next evidence read).
-        self._store.maybe_compact(self._slots.values())
+        renumbering = self._store.maybe_compact(self._slots.values())
+        if renumbering is not None and self._pair_log is not None:
+            self._pair_log.renumbered(renumbering)
         self._warn_overlap_calibration()
         return set(delta)
 
@@ -1200,6 +1262,8 @@ class EvidenceCache:
         if key in backfilled:
             return  # the backfill already collected the final state
         self._dirty_pairs.add(key)
+        if self._pair_log is not None:
+            self._pair_log.changed.add(key)
         v1 = providers[s1].value
         v2 = providers[s2].value
         if v1 != v2:
@@ -1261,6 +1325,8 @@ class EvidenceCache:
                     # (A backfilled slot already reflects the final state
                     # of every object, this one included.)
                     self._dirty_pairs.add(key)
+                    if self._pair_log is not None:
+                        self._pair_log.changed.add(key)
                     if values[s2] != v1:
                         slot.kd -= 1
                     else:
@@ -1279,6 +1345,8 @@ class EvidenceCache:
         """Retire a pair that fell below the overlap threshold."""
         slot = self._slots.pop(key)
         self._dirty_pairs.add(key)
+        if self._pair_log is not None:
+            self._pair_log.drop(slot.sid)
         for eid in self._store.segment(slot).tolist():
             self._release_entry(eid)
         self._store.release(slot)
@@ -1348,6 +1416,10 @@ class EvidenceCache:
         two sequential ``bincount`` segment sums, bit-for-bit identical
         to the per-pair :func:`~repro.dependence.bayes.collect_evidence`
         walk.
+
+        Either way the refresh leaves arrays only, which is all the
+        batched posterior kernel reads; the scalar readers' Python
+        lists are derived on their first read (:meth:`_scalar_sums`).
         """
         self.sync()
         self._refreshed = True
@@ -1383,11 +1455,7 @@ class EvidenceCache:
         """Derive the per-slot soft sums from the refreshed entries."""
         self._p_arr = np.asarray(self._p, dtype=np.float64)
         self._kt_arr, self._kf_arr = self._store.sums(self._p_arr)
-        # Scalar consumers (collect_all's positional fast path, the
-        # per-pair _build) read Python floats; tolist keeps their types
-        # — and therefore their arithmetic — exactly as before.
-        self._kt = self._kt_arr.tolist()
-        self._kf = self._kf_arr.tolist()
+        self._sum_lists = None
         if self._pop is not None:
             self._pop_arr = np.asarray(self._pop, dtype=np.float64)
 
@@ -1440,33 +1508,83 @@ class EvidenceCache:
                 )
         self._p_arr = p_arr
         self._kt_arr, self._kf_arr = self._store.sums(p_arr)
-        self._kt = self._kt_arr.tolist()
-        self._kf = self._kf_arr.tolist()
+        self._sum_lists = None
         self._pop_arr = pop_arr
 
+    def _scalar_sums(self) -> tuple[list[float], list[float]]:
+        """The last refresh's per-slot sums as Python-float lists.
+
+        Only the scalar readers (:meth:`collect_all`, :meth:`evidence`)
+        need them; the batched posterior kernel reads the arrays. Built
+        on the first scalar read after a refresh and dropped by the next
+        refresh, so a DEPEN round, which reads only the arrays, never
+        converts. ``tolist`` gives the floats the arrays hold, bit for
+        bit.
+        """
+        lists = self._sum_lists
+        if lists is None:
+            lists = self._kt_arr.tolist(), self._kf_arr.tolist()
+            self._sum_lists = lists
+        return lists
+
     def _table_gather(self, table):
-        """The entry-id -> table-slot index, rebuilt only when stale.
+        """The entry-id -> table-slot index, patched when stale.
 
         Keyed on the table's :class:`~repro.truth.columnar.TruthLayout`
         (its structure) and the cache's entry epoch: while neither
         side's structure changed, the per-round refresh pays a single
-        array gather and zero Python-level lookups.
+        array gather and zero Python-level lookups. When they did, and
+        the layout was synced from the one the index was built for, the
+        index moves through the layout's ``slot_map`` in one gather;
+        only entries created or recycled since are looked up by
+        ``(object, value)``, and retired ones point at slot 0. Anything
+        else (the first refresh, a rebuilt cache, an unrelated layout)
+        is the same patch from an empty index, which looks every entry
+        up.
         """
-        key = (table.layout.uid, self._entry_epoch)
-        if self._gather_key != key:
-            try:
-                # Retired entries (None object) gather slot 0.
-                self._gather = table.layout.slots(
-                    self._entry_obj, self._entry_value
-                )
-            except KeyError:
-                raise DataError(
-                    "an agreement entry is not an observed claim of the "
-                    "table's dataset snapshot — rebuild the table after "
-                    "ingest"
-                ) from None
-            self._gather_key = key
-        return self._gather
+        layout = table.layout
+        key = (layout.uid, self._entry_epoch)
+        if self._gather_key == key:
+            return self._gather
+        old = self._gather
+        if (
+            old is not None
+            and self._gather_key[0] == layout.parent_uid
+            and layout.slot_map.size
+        ):
+            moved = layout.slot_map[old]
+        else:
+            moved = np.empty(0, dtype=np.int64)
+        entry_obj = self._entry_obj
+        n_old = moved.size
+        fresh = list(range(n_old, len(entry_obj)))
+        fresh += [eid for eid in self._gather_fresh if eid < n_old]
+        gather = np.empty(len(entry_obj), dtype=np.int64)
+        gather[:n_old] = moved
+        try:
+            # Retired entries (None object) gather slot 0.
+            gather[fresh] = layout.slots(
+                [entry_obj[eid] for eid in fresh],
+                [self._entry_value[eid] for eid in fresh],
+            )
+            gather[self._free] = 0
+            if gather.min(initial=0) < 0:
+                raise KeyError  # a kept entry's claim is gone
+        except KeyError:
+            raise DataError(
+                "an agreement entry is not an observed claim of the "
+                "table's dataset snapshot — rebuild the table after "
+                "ingest"
+            ) from None
+        self._gather = gather
+        self._gather_key = key
+        self._gather_fresh = set()
+        return gather
+
+    def _start_pair_log(self) -> _PairLog:
+        """Begin logging registry changes from the current pair set."""
+        self._pair_log = _PairLog(self._store.n_sids)
+        return self._pair_log
 
     def posterior_engine(self, params: DependenceParams):
         """The memoized batched posterior engine for this cache.
@@ -1756,7 +1874,7 @@ class EvidenceCache:
         slot = self._slots.get(key)
         if slot is None:
             raise DataError(f"pair ({s1!r}, {s2!r}) is not a candidate pair")
-        return self._build(slot)
+        return self._build(slot, *self._scalar_sums())
 
     def collect_all(
         self, value_probs: ValueProbabilities
@@ -1767,7 +1885,7 @@ class EvidenceCache:
             # Fast path: the refresh already produced every
             # pair's sums; assembly is one positional construction per
             # pair (kwargs cost ~25% of the whole round at this width).
-            kt, kf = self._kt, self._kf
+            kt, kf = self._scalar_sums()
             evidence = PairEvidence
             return {
                 key: evidence(
@@ -1781,7 +1899,10 @@ class EvidenceCache:
                 )
                 for key, slot in self._slots.items()
             }
-        return {key: self._build(slot) for key, slot in self._slots.items()}
+        kt, kf = self._scalar_sums()
+        return {
+            key: self._build(slot, kt, kf) for key, slot in self._slots.items()
+        }
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -1806,10 +1927,12 @@ class EvidenceCache:
             return False
         return slot.length + slot.kd >= self._overlap_bound
 
-    def _build(self, slot: _PairSlot) -> PairEvidence:
-        """Evidence straight off the arrays: sums were computed by the
-        last :meth:`refresh`; per-value detail (non-fast modes) is one
-        gather over the slot's segment."""
+    def _build(
+        self, slot: _PairSlot, kt: list[float], kf: list[float]
+    ) -> PairEvidence:
+        """Evidence straight off the arrays: ``kt``/``kf`` are the last
+        :meth:`refresh`'s sums (:meth:`_scalar_sums`); per-value detail
+        (non-fast modes) is one gather over the slot's segment."""
         sid = slot.sid
         escaped = self._slot_escaped(slot)
         if self._fast and not escaped:
@@ -1826,8 +1949,8 @@ class EvidenceCache:
         return PairEvidence(
             s1=slot.s1,
             s2=slot.s2,
-            kt_soft=self._kt[sid],
-            kf_soft=self._kf[sid],
+            kt_soft=kt[sid],
+            kf_soft=kf[sid],
             kd=slot.kd,
             shared_values=shared_values,
             shared_count=slot.length,

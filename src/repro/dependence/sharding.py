@@ -252,14 +252,13 @@ class ShardPayload:
 
     ``src`` / ``entry`` are flat per-claim arrays (source rank codes and
     interned ``(object, value)`` entry codes), ``lengths`` the provider
-    count of each object in the shard, ``obj_base`` the global index of
-    the shard's first object, ``n_sources`` the code space for pair ids.
+    count of each object in the shard, ``n_sources`` the code space for
+    pair ids.
     Providers are already cap-filtered and in sorted source order, so
     the worker's pair enumeration needs no policy of its own.
     """
 
     shard_id: int
-    obj_base: int
     src: np.ndarray
     entry: np.ndarray
     lengths: np.ndarray
@@ -271,17 +270,17 @@ class RecordBlock:
     """A shard's pair records: one row per (object, provider-pair).
 
     ``pair`` holds composite pair ids (``s1_code * n_sources + s2_code``
-    with ``s1_code < s2_code``), ``obj`` global object indexes, ``entry``
-    the first provider's entry code, ``agree`` whether the two providers
-    assert the same value. A block's rows are sorted by ``(pair, obj)``
-    — the worker pays that sort, in parallel, so the parent's merge
-    only needs a stable sort on ``pair`` over the shard-ordered
-    concatenation (shards are ascending object ranges, so stability
-    preserves each pair's global object order).
+    with ``s1_code < s2_code``), ``entry`` the first provider's entry
+    code, ``agree`` whether the two providers assert the same value. A
+    block's rows are sorted by ``(pair, object)`` — the worker pays that
+    sort, in parallel, so the parent's merge only needs a stable sort on
+    ``pair`` over the shard-ordered concatenation (shards are ascending
+    object ranges, so stability preserves each pair's global object
+    order). The objects themselves are not shipped back: after the
+    sort, row order is all the merge reads of them.
     """
 
     pair: np.ndarray
-    obj: np.ndarray
     entry: np.ndarray
     agree: np.ndarray
 
@@ -289,18 +288,19 @@ class RecordBlock:
     def empty() -> "RecordBlock":
         return RecordBlock(
             pair=np.empty(0, dtype=np.int64),
-            obj=np.empty(0, dtype=np.int64),
             entry=np.empty(0, dtype=np.int64),
             agree=np.empty(0, dtype=bool),
         )
 
     @staticmethod
     def concatenate(blocks: Sequence["RecordBlock"]) -> "RecordBlock":
+        """The blocks' rows in block order; a lone block as it is."""
         if not blocks:
             return RecordBlock.empty()
+        if len(blocks) == 1:
+            return blocks[0]
         return RecordBlock(
             pair=np.concatenate([b.pair for b in blocks]),
-            obj=np.concatenate([b.obj for b in blocks]),
             entry=np.concatenate([b.entry for b in blocks]),
             agree=np.concatenate([b.agree for b in blocks]),
         )
@@ -312,7 +312,7 @@ def sweep_shard(payload: ShardPayload) -> RecordBlock:
     Pure function of the payload (safe to run in any process, any
     order). Objects are processed grouped by provider count so each
     group's pair enumeration is one ``triu_indices`` broadcast instead
-    of a Python loop; the block is then sorted by ``(pair, obj)`` before
+    of a Python loop; the block is then sorted by ``(pair, object)`` before
     returning, so the sort — the priciest merge stage — runs inside the
     workers, in parallel.
     """
@@ -337,9 +337,7 @@ def sweep_shard(payload: ShardPayload) -> RecordBlock:
         s1 = src[left]
         s2 = src[right]
         pair_parts.append(s1 * n_sources + s2)
-        obj_parts.append(
-            np.repeat(payload.obj_base + members, ti.size).astype(np.int64)
-        )
+        obj_parts.append(np.repeat(members, ti.size).astype(np.int64))
         e1 = entry[left]
         entry_parts.append(e1)
         agree_parts.append(e1 == entry[right])
@@ -347,13 +345,9 @@ def sweep_shard(payload: ShardPayload) -> RecordBlock:
     obj = np.concatenate(obj_parts)
     # Composite (pair, local-object) key: local indexes keep the key
     # small and within-shard object order equals global object order.
-    order = np.argsort(
-        pair * np.int64(lengths.size) + (obj - payload.obj_base),
-        kind="stable",
-    )
+    order = np.argsort(pair * np.int64(lengths.size) + obj, kind="stable")
     return RecordBlock(
         pair=pair[order],
-        obj=obj[order],
         entry=np.concatenate(entry_parts)[order],
         agree=np.concatenate(agree_parts)[order],
     )

@@ -393,9 +393,8 @@ def sweep_resident(state: dict, shard_id: int, delta: Any):
     """Sweep a resident shard into a :class:`RecordBlock`.
 
     Flattens the resident rows into the same object-major layout the
-    parent's cold pack produces (``obj_base=0``; record-local object
-    indices are never consumed parent-side), so the result is
-    bit-for-bit the cold sweep of the same shard.
+    parent's cold pack produces, so the result is bit-for-bit the cold
+    sweep of the same shard.
     """
     import numpy as np
 
@@ -415,7 +414,6 @@ def sweep_resident(state: dict, shard_id: int, delta: Any):
     )
     payload = ShardPayload(
         shard_id=shard_id,
-        obj_base=0,
         src=src,
         entry=entry,
         lengths=lengths,

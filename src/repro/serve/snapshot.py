@@ -113,6 +113,7 @@ class Snapshot:
         "_adj_ptr",
         "_adj_other",
         "_adj_pair",
+        "_pair_index",
         "_fingerprint",
     )
 
@@ -185,6 +186,9 @@ class Snapshot:
         self._adj_ptr = [0, *np.cumsum(counts).tolist()]
         self._adj_other = partners[order].tolist()
         self._adj_pair = (order // 2).tolist()
+        # {lo * n_sources + hi: pair index} over each pair's two source
+        # codes, built on the first pair lookup (see _pair).
+        self._pair_index: dict[int, int] | None = None
         self._fingerprint: str | None = None
 
     # ------------------------------------------------------------------
@@ -416,14 +420,24 @@ class Snapshot:
         return int(self.coverage[self._code(source)])
 
     def _pair(self, i: int, j: int) -> int | None:
-        """The pair index of source codes ``i`` and ``j``, if analysed."""
-        try:
-            pos = self._adj_other.index(
-                j, self._adj_ptr[i], self._adj_ptr[i + 1]
-            )
-        except ValueError:
-            return None
-        return self._adj_pair[pos]
+        """The pair index of source codes ``i`` and ``j``, if analysed.
+
+        One dict probe. The index is built on the first lookup, not at
+        construction, so a publish never pays for it; concurrent first
+        readers may each build one, and each assigns only a finished
+        index, so no reader sees a partial one.
+        """
+        n = len(self.sources)
+        index = self._pair_index
+        if index is None:
+            s1 = self.pair_s1.astype(np.int64)
+            s2 = self.pair_s2.astype(np.int64)
+            keys = (np.minimum(s1, s2) * n + np.maximum(s1, s2)).tolist()
+            # Built back to front, so a repeated pair keeps its first
+            # index, as a scan in pair order would find it.
+            index = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+            self._pair_index = index
+        return index.get(i * n + j if i < j else j * n + i)
 
     def dependence_probability(self, s1: SourceId, s2: SourceId) -> float:
         """Total dependence posterior of a pair (0.0 if unanalysed)."""

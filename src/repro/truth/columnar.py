@@ -191,6 +191,13 @@ class TruthLayout:
     ``acc_starts``). See the module docstring for the orders and for
     how :meth:`sync` derives a layout from the previous one.
 
+    ``parent_uid`` and ``slot_map`` record how :meth:`sync` derived it:
+    the ``uid`` of the layout it started from and, per slot of that
+    layout, the slot the same (object, value) has here (-1 when the
+    value is no longer observed). A consumer holding per-slot indexes
+    into the parent (the evidence cache's entry gather) moves them with
+    one gather. A cold build's parent is the empty layout.
+
     A layout is never written after construction: its arrays are
     read-only, and published snapshots share them, the objects list and
     the index dicts as they are.
@@ -200,6 +207,8 @@ class TruthLayout:
         "dataset",
         "dataset_version",
         "uid",
+        "parent_uid",
+        "slot_map",
         "sources",
         "src_code",
         "objects",
@@ -354,6 +363,23 @@ class TruthLayout:
             for pos, value in zip(dirty_slots.tolist(), d_values):
                 values[pos] = value
 
+        # Old slot -> new slot (-1: the value is no longer observed):
+        # clean rows' slots moved by run, dirty objects' surviving
+        # values looked up by value.
+        slot_map = np.full(len(old_values), -1, dtype=np.int64)
+        slot_map[slot_old] = slot_new
+        for obj in dirty_objects if old_row else ():
+            row = old_row.get(obj)
+            if row is None or obj in gone:
+                continue
+            old_base = int(old.bounds[row])
+            new_base = int(bounds[row_of[obj]])
+            local = offsets[obj]
+            for value, off in old.value_offsets[obj].items():
+                new_off = local.get(value)
+                if new_off is not None:
+                    slot_map[old_base + off] = new_base + new_off
+
         # -- vote order: per slot, its providers ------------------------
         slot_starts = _offsets(sizes)
         claim_src = np.empty(int(slot_starts[-1]), dtype=np.int64)
@@ -392,19 +418,6 @@ class TruthLayout:
         if acc_n.size:
             # A clean source's claims are unchanged, but the slots they
             # point at may have moved: map old slots to new ones.
-            slot_map = np.full(len(old_values), -1, dtype=np.int64)
-            slot_map[slot_old] = slot_new
-            for obj in dirty_objects:
-                row = old_row.get(obj)
-                if row is None or obj in gone:
-                    continue
-                old_base = int(old.bounds[row])
-                new_base = int(bounds[row_of[obj]])
-                local = offsets[obj]
-                for value, off in old.value_offsets[obj].items():
-                    new_off = local.get(value)
-                    if new_off is not None:
-                        slot_map[old_base + off] = new_base + new_off
             acc_slot[_positions(acc_starts[run_new], acc_n)] = slot_map[
                 old.acc_slot[_positions(acc_old, acc_n)]
             ]
@@ -429,6 +442,8 @@ class TruthLayout:
         return TruthLayout(
             dataset,
             dataset.version,
+            parent_uid=old.uid,
+            slot_map=slot_map,
             sources=sources,
             src_code=src_code,
             objects=objects,
@@ -474,6 +489,8 @@ def _empty_layout() -> TruthLayout:
     return TruthLayout(
         None,
         -1,
+        parent_uid=-1,
+        slot_map=none,
         sources=[],
         src_code={},
         objects=[],

@@ -155,7 +155,7 @@ class TestStoreUnit:
         store.remove(slots[0], 0)
         store.insert(slots[1], 0, 9)  # forces a relocation
         live = [slots[0], slots[1], slots[2]]
-        store.compact(live)
+        assert store.compact(live).tolist() == [0, 1, 2]
         assert store.dead == 0
         assert store.used == sum(s.length for s in live)
         assert [s.sid for s in live] == [0, 1, 2]
@@ -202,7 +202,8 @@ class TestStoreUnit:
         store.new_sid(late)
         store.append_segment(late, [2, 9])
         self._assert_live_fresh(store)
-        store.compact([slots[0], slots[1], slots[3], late])
+        renumbering = store.compact([slots[0], slots[1], slots[3], late])
+        assert renumbering.tolist() == [0, 1, 3, 4]
         self._assert_live_fresh(store)
         store.adopt(np.array([5, 6, 7]), np.array([0, 0, 1]), 2)
         self._assert_live_fresh(store)
@@ -213,12 +214,13 @@ class TestStoreUnit:
     def test_maybe_compact_thresholds(self, monkeypatch):
         monkeypatch.setattr(entrystore, "COMPACT_MIN_DEAD", 1)
         store, slots = self._packed([[1, 2, 3], [4, 5]])
-        assert not store.maybe_compact(slots)  # nothing dead
+        assert store.maybe_compact(slots) is None  # nothing dead
         store.remove(slots[0], 0)
-        assert not store.maybe_compact(slots)  # 2*1 <= 5: not worth it
+        assert store.maybe_compact(slots) is None  # 2*1 <= 5: not worth it
         store.remove(slots[0], 0)
         store.remove(slots[1], 0)
-        assert store.maybe_compact(slots)  # 2*3 > 5
+        # 2*3 > 5: compacts, returning each new sid's old sid
+        assert store.maybe_compact(slots).tolist() == [0, 1]
         assert store.dead == 0
         assert [store.segment(s).tolist() for s in slots] == [[3], [5]]
 

@@ -292,3 +292,63 @@ class TestOverlapSizeRegression:
             uniform_value_probabilities(table1)
         ).items():
             assert evidence.overlap_size == len(table1.overlap(s1, s2))
+
+
+class TestScalarSumsFollowRefresh:
+    """The scalar readers' sums lists are built lazily after a refresh;
+    a later refresh must never leave them serving the previous sums."""
+
+    MODES = [
+        pytest.param(DependenceParams(), False, id="fast"),
+        pytest.param(
+            DependenceParams(false_value_model="empirical"), True, id="exact"
+        ),
+    ]
+
+    @staticmethod
+    def _check(dataset, cache, params, value_probs, read):
+        popularity = params.false_value_model == "empirical"
+        fast = cache._fast
+        for s1, s2 in cache.pairs:
+            evidence = read(s1, s2)
+            reference = collect_evidence(
+                dataset, s1, s2, value_probs, with_popularity=popularity
+            )
+            if fast:
+                assert evidence.kt_soft == reference.kt_soft
+                assert evidence.kf_soft == reference.kf_soft
+                assert evidence.kd == reference.kd
+                assert evidence.shared_count == reference.shared_count
+            else:
+                _assert_identical(evidence, reference)
+
+    @pytest.mark.parametrize("params, exact", MODES)
+    def test_interleaved_table_refreshes(self, copier_world, params, exact):
+        import random
+
+        from repro.truth.columnar import ValueProbTable
+
+        dataset, _ = copier_world
+        first = ValueProbTable(dataset)
+        second = ValueProbTable(dataset, layout=first.layout)
+        rng = random.Random(4)
+        second.set_probs([rng.random() for _ in range(len(second))])
+        cache = EvidenceCache(dataset, params=params, exact=exact)
+        cache.refresh(first)
+        collected = cache.collect_all(first)
+        self._check(
+            dataset, cache, params, first.to_dict(), lambda *k: collected[k]
+        )
+        cache.refresh(second)
+        self._check(dataset, cache, params, second.to_dict(), cache.evidence)
+        cache.refresh(first)
+        self._check(dataset, cache, params, first.to_dict(), cache.evidence)
+
+    @pytest.mark.parametrize("params, exact", MODES)
+    def test_collect_all_after_depen(self, copier_world, params, exact):
+        dataset, _ = copier_world
+        cache = EvidenceCache(dataset, params=params, exact=exact)
+        Depen(params).discover(dataset, evidence_cache=cache)
+        probs = uniform_value_probabilities(dataset)
+        collected = cache.collect_all(probs)
+        self._check(dataset, cache, params, probs, lambda *k: collected[k])

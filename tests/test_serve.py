@@ -29,6 +29,7 @@ from repro.serve import (
     load_snapshot,
     save_snapshot,
 )
+from repro.serve.snapshot import ARRAY_FIELDS
 from repro.truth.columnar import ValueProbTable
 from repro.truth.depen import Depen
 
@@ -111,6 +112,88 @@ def test_snapshot_dependence_matches_graph(published):
             assert snapshot.directed_probability(s1, s2) == (
                 graph.directed_probability(s1, s2)
             )
+
+
+def _scanned_pair(snapshot, i, j):
+    """The pair index a linear scan of source ``i``'s adjacency finds."""
+    lo, hi = snapshot._adj_ptr[i], snapshot._adj_ptr[i + 1]
+    for pos in range(lo, hi):
+        if snapshot._adj_other[pos] == j:
+            return snapshot._adj_pair[pos]
+    return None
+
+
+def test_snapshot_pair_lookup_matches_adjacency_scan():
+    """A published snapshot orders its pairs by source codes, but a
+    snapshot may hold them in any order: here the evidence registry's,
+    where a backfilled pair comes last, so a source's adjacency is not
+    sorted by partner. The pair index must find exactly what a scan of
+    the adjacency finds, for every ordered pair of sources, analysed or
+    not."""
+    table = {
+        f"o{k:02d}": {
+            source: f"v{(k * (i + 2)) % 3}"
+            for i, source in enumerate("ACDEF")
+            if (k + i) % 4 != 0
+        }
+        for k in range(24)
+    }
+    # B shares one object with A at first (below min_overlap), so (A, B)
+    # is backfilled once B claims three more of A's objects.
+    for k in range(24):
+        if k == 1 or k % 4 == 0:
+            table[f"o{k:02d}"]["B"] = "v0"
+    table["o07"]["G"] = "v2"  # G overlaps no source enough: no pairs
+    claims = [
+        Claim(source, obj, value)
+        for obj, row in table.items()
+        for source, value in row.items()
+    ]
+    with repro.Session(claims=claims, min_overlap=3) as session:
+        session.publish()
+        session.apply([Claim("B", f"o{k:02d}", "v1") for k in (2, 3, 5)])
+        published = session.publish()
+        registry = session.engine.cache.pairs
+    assert registry[-2:] == [("A", "B"), ("B", "F")]
+    sources = published.sources
+    code = {source: i for i, source in enumerate(sources)}
+    row = {
+        (s1, s2): k
+        for k, (s1, s2) in enumerate(
+            zip(published.pair_s1.tolist(), published.pair_s2.tolist())
+        )
+    }
+    order = np.asarray([row[code[a], code[b]] for a, b in registry])
+    arrays = {name: getattr(published, name) for name in ARRAY_FIELDS}
+    for name in ARRAY_FIELDS[-5:]:  # the pair arrays
+        arrays[name] = arrays[name][order]
+        arrays[name].flags.writeable = False
+    snapshot = Snapshot(
+        objects=published.objects,
+        sources=sources,
+        slot_values=published.slot_values,
+        arrays=arrays,
+        dataset_version=published.dataset_version,
+        round_id=published.round_id,
+    )
+    a, b = code["A"], code["B"]
+    lo, hi = snapshot._adj_ptr[a], snapshot._adj_ptr[a + 1]
+    partners = snapshot._adj_other[lo:hi]
+    assert partners[-1] == b and partners != sorted(partners)
+    absent = 0
+    for i, x in enumerate(sources):
+        for j, y in enumerate(sources):
+            k = _scanned_pair(snapshot, i, j)
+            absent += k is None
+            assert snapshot._pair(i, j) == k
+            expected = 0.0 if k is None else float(snapshot.p_dependent[k])
+            assert snapshot.dependence_probability(x, y) == expected
+            assert published.dependence_probability(x, y) == expected
+            directed = snapshot.p_s1_copies if i < j else snapshot.p_s2_copies
+            expected = 0.0 if k is None else float(directed[k])
+            assert snapshot.directed_probability(x, y) == expected
+            assert published.directed_probability(x, y) == expected
+    assert absent > len(sources)  # G's pairs are not analysed
 
 
 def test_snapshot_explain_dependence_sorted(published):
